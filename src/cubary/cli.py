@@ -99,6 +99,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
+    if args.budget < 0:
+        return _fail(EXIT_INPUT, "budget must be >= 0")
     try:
         K = _validated(_read_complex_stdin())
         K = subdivide_n(K, args.n, face_budget=args.budget)
@@ -165,6 +167,8 @@ def _decimal10(x: Fraction) -> str:
 
 
 def cmd_limit(args) -> int:
+    if args.max_n < 0:
+        return _fail(EXIT_INPUT, "max-n must be >= 0")
     try:
         K = _validated(_read_complex_stdin())
     except _InvalidComplex as exc:

@@ -8,8 +8,8 @@ sorted by (dimension, key). The empty face is implicit and never stored.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -205,16 +205,34 @@ class CubicalComplex:
     def from_json_obj(cls, obj) -> "CubicalComplex":
         """Ingest the JSON format, re-canonicalizing ids.
 
-        Structural problems (bad ids, duplicate keys, dim mismatch) raise
-        ValueError; poset-axiom violations are left for validate().
+        Structural problems (wrong JSON types, bad ids, duplicate keys,
+        dim mismatch) raise ValueError; poset-axiom violations are left
+        for validate(). Ids and dims must be JSON integers, not floats or
+        booleans; covered must be a list of ids and key a string.
         """
         try:
             declared = obj["dim"]
             raw = obj["faces"]
-            table = [(int(f["id"]), int(f["dim"]), list(f["covered"]), str(f["key"]))
-                     for f in raw]
-        except (KeyError, TypeError, ValueError) as exc:
+            table = [(f["id"], f["dim"], f["covered"], f["key"]) for f in raw]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed complex JSON: {exc}") from exc
+        if type(declared) is not int:
+            raise ValueError(f"malformed complex JSON: dim must be an integer, got {declared!r}")
+        for fid, dim, cov, key in table:
+            if type(fid) is not int or type(dim) is not int:
+                raise ValueError(
+                    f"malformed complex JSON: face id and dim must be integers, "
+                    f"got id {fid!r} and dim {dim!r}"
+                )
+            if type(cov) is not list or not all(type(c) is int for c in cov):
+                raise ValueError(
+                    f"malformed complex JSON: face {fid} covered must be a list "
+                    f"of integer ids, got {cov!r}"
+                )
+            if type(key) is not str:
+                raise ValueError(
+                    f"malformed complex JSON: face {fid} key must be a string, got {key!r}"
+                )
         if not table:
             raise ValueError("empty complexes are not supported")
         ids = [t[0] for t in table]
@@ -260,11 +278,35 @@ def validate(K: CubicalComplex) -> ValidationReport:
 
     Checked, in order: canonical id ordering; gradedness (every cover
     drops dimension by exactly 1, vertices cover nothing); the cube cover
-    count (a j-face covers exactly 2j faces); cube lower-set counts (a
-    j-face has 2^(j-k)*C(j,k) subfaces of dimension k); and the
-    intersection property (two faces sharing subfaces have a unique
-    maximal common subface). Counting and intersection checks are skipped
-    when grading is broken, since lower sets are then meaningless.
+    count (a j-face covers exactly 2j faces); then, one maximal face at a
+    time, (i) the faces below a maximal face of dimension j form the face
+    lattice of a j-cube, and (ii) two maximal faces sharing a vertex have
+    a unique maximal common subface. Checks (i) and (ii) are skipped when
+    grading is broken, since lower sets are then meaningless.
+
+    Check (i) labels each face x below the maximal face M by the set of
+    M's facets above x. Two facets are opposite when they share no
+    vertex; the 2j facets must split into j opposite pairs, so a label
+    reads as a word in {0,1,*}^j: 0 or 1 where x lies below the first or
+    second facet of a pair, * where below neither (no face lies below
+    both, as its vertices would). The labels must be a bijection onto
+    {0,1,*}^j (3^j faces, distinct labels) and dim x must equal its
+    number of *s. If y covers x, every facet above y is above x, so
+    label(x) only fixes more letters than label(y); the dimension check
+    makes it exactly one more, so every cover replaces one * by a 0 or a
+    1. A d-face covers 2d faces and there are 2d such replacements, so
+    the covers below M are those of the cube, and hence so is the order.
+
+    Why (ii) on pairs of maximal faces is enough: in a cube lattice two
+    faces meet in one face or not at all. Take faces a <= A and b <= B
+    with A, B maximal and lower(A) & lower(B) = lower(c) (c = A when
+    A = B). Then lower(a) & lower(b) = lower(c) & lower(a) & lower(b).
+    Inside A's cube, lower(c) & lower(a) is empty or lower(e) for one
+    face e <= c <= B; inside B's cube, lower(e) & lower(b) is empty or
+    has a unique maximum. Faces sharing no vertex share no subface, as
+    every nonempty face has a vertex below it. Every lower set is a
+    subcube of a checked one, so each j-face also has the cube's
+    2^(j-k)*C(j,k) subfaces of dimension k.
     """
     v: list[str] = []
     n = len(K.dims)
@@ -305,34 +347,26 @@ def validate(K: CubicalComplex) -> ValidationReport:
     if not graded:
         return ValidationReport(False, tuple(v))
 
-    lower = K.all_lower_sets()
-    for i in range(n):
-        j = K.dims[i]
-        counts = [0] * (j + 1)
-        for f in lower[i]:
-            counts[K.dims[f]] += 1
-        want = [2 ** (j - k) * math.comb(j, k) for k in range(j + 1)]
-        if counts != want:
-            v.append(
-                f"face {i} of dim {j} has lower-set profile {counts}, "
-                f"expected {want}"
-            )
-
-    # Intersection property: only pairs sharing a vertex can share subfaces.
-    above: dict[int, list[int]] = {}
-    for i in range(n):
-        for f in lower[i]:
+    covered_somewhere = set().union(*K.covered)
+    lower: dict[int, frozenset[int]] = {}
+    tops_at_vertex: dict[int, list[int]] = {}
+    for top in range(n):
+        if top in covered_somewhere:
+            continue
+        below = K.lower_set(top)
+        lower[top] = below
+        problem = _cube_lattice_problem(K, top, below)
+        if problem:
+            v.append(f"face {top} of dim {K.dims[top]} is not a cube: {problem}")
+        for f in below:
             if K.dims[f] == 0:
-                above.setdefault(f, []).append(i)
+                tops_at_vertex.setdefault(f, []).append(top)
+
     pairs = set()
-    for members in above.values():
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                pairs.add((members[ai], members[bi]))
+    for tops in tops_at_vertex.values():
+        pairs.update(itertools.combinations(tops, 2))
     for a, b in sorted(pairs):
         common = lower[a] & lower[b]
-        if not common:
-            continue
         # common is a down-set, so its maximal elements are those not
         # covered by another of its elements
         dominated = set()
@@ -346,6 +380,53 @@ def validate(K: CubicalComplex) -> ValidationReport:
             )
 
     return ValidationReport(not v, tuple(v))
+
+
+def _cube_lattice_problem(
+    K: CubicalComplex, top: int, below: frozenset[int]
+) -> str | None:
+    """Why the lower set `below` of `top` is not a cube's face lattice.
+
+    Returns None when it is one; see check (i) in validate(). Assumes a
+    graded complex, so sorting by dimension orders every cover.
+    """
+    j = K.dims[top]
+    if len(below) != 3**j:
+        return f"{len(below)} faces below it, expected {3**j}"
+    facets = sorted(K.covered[top])
+    if len(facets) != 2 * j:
+        return f"{len(facets)} facets, expected {2 * j}"
+    above = dict.fromkeys(below, 0)  # bit k set: below facets[k]
+    for k, f in enumerate(facets):
+        above[f] = 1 << k
+    for y in sorted(below, key=K.dims.__getitem__, reverse=True):
+        for c in K.covered[y]:
+            above[c] |= above[y]
+
+    touching = [0] * (2 * j)  # facets sharing a vertex with facets[k]
+    for f in below:
+        if K.dims[f] == 0:
+            for k in range(2 * j):
+                if above[f] >> k & 1:
+                    touching[k] |= above[f]
+    everything = (1 << 2 * j) - 1
+    for k in range(2 * j):
+        opp = everything & ~touching[k]
+        if opp.bit_count() != 1 or everything & ~touching[opp.bit_length() - 1] != 1 << k:
+            return f"facet {facets[k]} has no unique opposite facet"
+
+    # No face lies below both facets of an opposite pair, since its
+    # vertices would. Where the cover counts hold every face has a vertex;
+    # where they fail validate() has already reported it.
+    labels = set()
+    for f in below:
+        m = above[f]
+        if K.dims[f] != j - m.bit_count():
+            return f"face {f} of dim {K.dims[f]} has {j - m.bit_count()} free coordinates"
+        labels.add(m)
+    if len(labels) != len(below):
+        return "two faces below it get the same cube coordinates"
+    return None
 
 
 def _cube_key(free: tuple[int, ...], corner: tuple[int, ...]) -> str:

@@ -19,6 +19,24 @@ def corpus():
     return default_corpus()
 
 
+@pytest.fixture(scope="session")
+def non_cube_square():
+    """A 2-face whose four edges form a triangle plus a pendant edge.
+
+    Vertices a, b, c, d and edges ab, bc, ca, cd: every face has a
+    square's cover count and lower-set profile, but the lower set is not
+    a square's face lattice (bc shares a vertex with every other edge).
+    """
+    return CubicalComplex.from_keyed_faces(
+        {
+            "a": (0, []), "b": (0, []), "c": (0, []), "d": (0, []),
+            "ab": (1, ["a", "b"]), "bc": (1, ["b", "c"]),
+            "ca": (1, ["c", "a"]), "cd": (1, ["c", "d"]),
+            "s": (2, ["ab", "bc", "ca", "cd"]),
+        }
+    )
+
+
 def brute_force_interval_fvector(K: CubicalComplex) -> tuple[int, ...]:
     """f-vector of the subdivision by counting poset intervals directly.
 

@@ -115,6 +115,36 @@ class TestSubdivide:
         code, _, _ = cli(["subdivide", "-n", "-2"], stdin_text=src)
         assert code == 1
 
+    def test_negative_budget_exits_1(self, cli):
+        src = gen_json(cli, "--cube", "1")
+        code, _, err = cli(["subdivide", "-n", "1", "--budget", "-5"], stdin_text=src)
+        assert code == 1
+        assert "budget" in err
+
+    def test_non_cube_face_exits_2(self, cli, non_cube_square):
+        code, _, err = cli(["subdivide", "-n", "1"], stdin_text=non_cube_square.to_json())
+        assert code == 2
+        assert "is not a cube" in err
+
+    @pytest.mark.parametrize(
+        "face,field,value",
+        [
+            (0, "id", 0.7),
+            (2, "dim", True),
+            (0, "key", None),
+            (0, "covered", ""),
+            (2, "covered", [0.0, 1]),
+        ],
+        ids=["id-float", "dim-bool", "key-null", "covered-string", "covered-float-id"],
+    )
+    def test_json_of_wrong_type_exits_1(self, cli, face, field, value):
+        obj = json.loads(gen_json(cli, "--cube", "1"))
+        obj["faces"][face][field] = value
+        code, out, err = cli(["subdivide", "-n", "0"], stdin_text=json.dumps(obj))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "malformed complex JSON" in err
+
 
 class TestVectors:
     def test_cube_boundary_3(self, cli):
@@ -241,6 +271,13 @@ class TestLimit:
         code, _, err = cli(["limit", "--max-n", "2", "--which", "hc"], stdin_text=src)
         assert code == 1
         assert "d >= 2" in err
+
+    def test_negative_max_n_exits_1(self, cli):
+        src = gen_json(cli, "--cube-boundary", "3")
+        code, out, err = cli(["limit", "--max-n", "-3"], stdin_text=src)
+        assert code == 1
+        assert out == ""
+        assert "max-n" in err
 
     def test_decimal_rendering(self, cli):
         src = gen_json(cli, "--cube-boundary", "3")
