@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .complex_core import CubicalComplex, from_voxels, gen_cube, gen_cube_boundary, parse_voxel_text, validate
-from .face_vectors import f_vector, hc_from_hsc, hsc_from_f, summary
+from .face_vectors import euler_reduced, f_vector, hc_from_hsc, hsc_from_f, summary
 from .polytools import is_real_rooted, shape_predicates
 from .subdivision import DEFAULT_FACE_BUDGET, FaceBudgetExceeded, subdivide_n
 from .transform import (
@@ -181,7 +181,8 @@ def cmd_limit(args) -> int:
     if args.which == "hc" and d < 2:
         return _fail(EXIT_INPUT, "long h-vector limits need d >= 2")
     f_top = f.entries[-1]
-    chi = -1 + sum((-1) ** i * fi for i, fi in enumerate(f.entries))
+    chi = euler_reduced(f)
+    hc = hc_from_hsc(hsc)
     rows = []
     for n in range(args.max_n + 1):
         scale = Fraction(1, 2 ** (n * (d - 1)))
@@ -189,7 +190,6 @@ def cmd_limit(args) -> int:
             dist = limit_distance_hsc(hsc, f_top, n)
             vec = [x * scale for x in (hsc_poly_of_iterate(hsc, n)).padded(d)]
         else:
-            hc = hc_from_hsc(hsc)
             dist = limit_distance_hc(hc, f_top, chi, n)
             vec = [x * scale for x in hc_poly_of_iterate(hsc, chi, n).padded(d + 1)]
         shapes = shape_predicates(vec)
@@ -227,15 +227,15 @@ def cmd_mine(args) -> int:
             vec = hsc.entries
             if not all(x >= 0 for x in vec):
                 continue
-            out = hsc_of_subdivision(hsc).entries
-            ok = shape_predicates(out)["unimodal"]
+            out = hsc_of_subdivision(hsc)
+            ok = shape_predicates(out.entries)["unimodal"]
         else:
             hc = hc_from_hsc(hsc)
             vec = hc.entries
             if not all(x >= 0 for x in vec):
                 continue
-            out = hc_of_subdivision(hc).entries
-            ok = is_real_rooted(hc_of_subdivision(hc).polynomial())
+            out = hc_of_subdivision(hc)
+            ok = is_real_rooted(out.polynomial())
         if not ok:
             findings += 1
             _emit(
@@ -247,7 +247,7 @@ def cmd_mine(args) -> int:
                     "corners": [list(c) for c in spec.corners],
                     "f": list(f.entries),
                     "vector": [str(x) for x in vec],
-                    "subdivided_vector": [str(x) for x in out],
+                    "subdivided_vector": [str(x) for x in out.entries],
                 }
             )
     _emit(

@@ -67,7 +67,7 @@ class CubicalComplex:
     keys:    canonical key string per id
     """
 
-    __slots__ = ("dims", "covered", "keys", "_key_to_id")
+    __slots__ = ("dims", "covered", "keys")
 
     def __init__(self, dims, covered, keys):
         dims = tuple(dims)
@@ -80,35 +80,43 @@ class CubicalComplex:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "covered", covered)
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "_key_to_id", {k: i for i, k in enumerate(keys)})
-        if len(self._key_to_id) != len(keys):
+        if len(set(keys)) != len(keys):
             raise ValueError("duplicate canonical keys")
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicalComplex is immutable")
 
     @classmethod
+    def _from_table(cls, dims, covered, keys) -> "CubicalComplex":
+        """Build from a face table in any order, canonicalizing ids.
+
+        Row i is face i: its dim, the rows it covers, and its key. Rows are
+        sorted by (dim, key) and covers renumbered to match. Every builder
+        of a complex ends here.
+        """
+        order = sorted(range(len(keys)), key=lambda i: (dims[i], keys[i]))
+        new_id = {old: i for i, old in enumerate(order)}
+        return cls(
+            [dims[i] for i in order],
+            [[new_id[c] for c in covered[i]] for i in order],
+            [keys[i] for i in order],
+        )
+
+    @classmethod
     def from_keyed_faces(
         cls, faces: Mapping[str, tuple[int, Iterable[str]]]
     ) -> "CubicalComplex":
         """Build from a key -> (dim, covered keys) table, canonicalizing ids."""
-        order = sorted(faces, key=lambda k: (faces[k][0], k))
-        ids = {k: i for i, k in enumerate(order)}
-        dims, covered = [], []
-        for k in order:
-            dim, cov = faces[k]
+        ids = {k: i for i, k in enumerate(faces)}
+        covered = []
+        for k, (_, cov) in faces.items():
             try:
-                covered.append(frozenset(ids[c] for c in cov))
+                covered.append([ids[c] for c in cov])
             except KeyError as exc:
                 raise ValueError(f"face {k!r} covers unknown face {exc.args[0]!r}")
-            dims.append(dim)
-        return cls(dims, covered, order)
+        return cls._from_table([dim for dim, _ in faces.values()], covered, list(faces))
 
     def __len__(self):
-        return len(self.dims)
-
-    @property
-    def n_faces(self) -> int:
         return len(self.dims)
 
     @property
@@ -117,9 +125,6 @@ class CubicalComplex:
 
     def face_ids_of_dim(self, j: int) -> list[int]:
         return [i for i, d in enumerate(self.dims) if d == j]
-
-    def id_of_key(self, key: str) -> int:
-        return self._key_to_id[key]
 
     def lower_set(self, fid: int) -> frozenset[int]:
         """Ids of all subfaces of fid, including fid itself."""
@@ -235,19 +240,19 @@ class CubicalComplex:
                 )
         if not table:
             raise ValueError("empty complexes are not supported")
-        ids = [t[0] for t in table]
-        if sorted(ids) != list(range(len(table))):
+        rows = sorted(table, key=lambda t: t[0])
+        if [t[0] for t in rows] != list(range(len(rows))):
             raise ValueError("face ids must be exactly 0..N-1")
-        by_id = {t[0]: t for t in table}
-        faces = {}
+        seen = set()
         for fid, dim, cov, key in table:
             for c in cov:
-                if c not in by_id:
+                if not 0 <= c < len(rows):
                     raise ValueError(f"face {fid} covers unknown id {c}")
-            if key in faces:
+            if key in seen:
                 raise ValueError(f"duplicate key {key!r}")
-            faces[key] = (dim, [by_id[c][3] for c in cov])
-        K = cls.from_keyed_faces(faces)
+            seen.add(key)
+        _, dims, covered, keys = zip(*rows)
+        K = cls._from_table(dims, covered, keys)
         if K.dim != declared:
             raise ValueError(f"declared dim {declared} != max face dim {K.dim}")
         return K
@@ -258,6 +263,8 @@ class CubicalComplex:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError("invalid JSON: nested too deeply") from exc
         return cls.from_json_obj(obj)
 
     def __repr__(self):
@@ -391,11 +398,12 @@ def _cube_lattice_problem(
     graded complex, so sorting by dimension orders every cover.
     """
     j = K.dims[top]
-    if len(below) != 3**j:
-        return f"{len(below)} faces below it, expected {3**j}"
+    # facets first: 2j distinct facets keep 3^j polynomial in the face count
     facets = sorted(K.covered[top])
     if len(facets) != 2 * j:
         return f"{len(facets)} facets, expected {2 * j}"
+    if len(below) != 3**j:
+        return f"{len(below)} faces below it, expected 3^{j}"
     above = dict.fromkeys(below, 0)  # bit k set: below facets[k]
     for k, f in enumerate(facets):
         above[f] = 1 << k
@@ -429,53 +437,49 @@ def _cube_lattice_problem(
     return None
 
 
-def _cube_key(free: tuple[int, ...], corner: tuple[int, ...]) -> str:
-    return ",".join(map(str, free)) + ";" + ",".join(map(str, corner))
+def _cube_faces(ambient: int, corners: Iterable[tuple[int, ...]]) -> tuple[list, list, list]:
+    """Face table (dims, covered ids, keys) of the unit cubes at `corners`.
 
-
-def _cube_faces_into(
-    faces: dict, ambient: int, corner: tuple[int, ...]
-) -> None:
-    """Add all faces of the unit cube at `corner` to a keyed-face table."""
-    axes = range(ambient)
-    # iterate over subsets of free coordinates via bitmasks
-    for mask in range(1 << ambient):
-        free = tuple(i for i in axes if mask >> i & 1)
-        fixed = [i for i in axes if not mask >> i & 1]
-        for choice in range(1 << len(fixed)):
-            w = list(corner)
-            for t, i in enumerate(fixed):
-                w[i] += choice >> t & 1
-            key = _cube_key(free, tuple(w))
-            if key in faces:
-                continue
-            cov = []
-            for i in free:
-                sub = tuple(x for x in free if x != i)
-                for delta in (0, 1):
-                    w2 = list(w)
-                    w2[i] += delta
-                    cov.append(_cube_key(sub, tuple(w2)))
-            faces[key] = (len(free), cov)
+    A face is indexed by (mask, corner): the bitmask of its free axes and
+    its minimal corner, so cubes sharing a face deduplicate. Within a
+    cube masks ascend, so every face a face covers is already in the
+    table. Each key is rendered once, when its face is added.
+    """
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    dims, covered, keys = [], [], []
+    for corner in corners:
+        for mask in range(1 << ambient):
+            free = [i for i in range(ambient) if mask >> i & 1]
+            # a free axis starts at the cube's corner, a fixed one at either end
+            ends = [(c,) if mask >> i & 1 else (c, c + 1) for i, c in enumerate(corner)]
+            for w in itertools.product(*ends):
+                if (mask, w) in index:
+                    continue
+                cov = []
+                for i in free:  # a facet fixes axis i at either end
+                    for end in (w[i], w[i] + 1):
+                        cov.append(index[mask ^ 1 << i, w[:i] + (end,) + w[i + 1 :]])
+                index[mask, w] = len(keys)
+                dims.append(len(free))
+                covered.append(cov)
+                keys.append(",".join(map(str, free)) + ";" + ",".join(map(str, w)))
+    return dims, covered, keys
 
 
 def gen_cube(d: int) -> CubicalComplex:
     """The complex of all faces of the standard d-cube, top cell included."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    faces: dict = {}
-    _cube_faces_into(faces, d, (0,) * d)
-    return CubicalComplex.from_keyed_faces(faces)
+    return CubicalComplex._from_table(*_cube_faces(d, [(0,) * d]))
 
 
 def gen_cube_boundary(d: int) -> CubicalComplex:
     """All proper faces of the d-cube; the (d-1)-sphere for d >= 1."""
     if d < 1:
         raise ValueError("cube boundary needs d >= 1 (no empty complexes)")
-    faces: dict = {}
-    _cube_faces_into(faces, d, (0,) * d)
-    del faces[_cube_key(tuple(range(d)), (0,) * d)]
-    return CubicalComplex.from_keyed_faces(faces)
+    dims, covered, keys = _cube_faces(d, [(0,) * d])
+    # the top cell has the full mask, so it is the last row
+    return CubicalComplex._from_table(dims[:-1], covered[:-1], keys[:-1])
 
 
 def from_voxels(spec: VoxelSpec) -> CubicalComplex:
@@ -485,7 +489,4 @@ def from_voxels(spec: VoxelSpec) -> CubicalComplex:
     sharing a face deduplicate automatically, and axis-aligned unit-cube
     geometry makes the intersection property hold by construction.
     """
-    faces: dict = {}
-    for corner in spec.corners:
-        _cube_faces_into(faces, spec.ambient_dim, corner)
-    return CubicalComplex.from_keyed_faces(faces)
+    return CubicalComplex._from_table(*_cube_faces(spec.ambient_dim, spec.corners))

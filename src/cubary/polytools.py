@@ -7,6 +7,7 @@ Everything here is exact: coefficients are Python ints or
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -247,22 +248,29 @@ def _variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
 
-def real_root_count(p: RatPoly) -> int:
-    """Number of distinct real roots of p, counted exactly.
+def _sturm_count(q: RatPoly) -> int:
+    """Number of real roots of a square-free, nonzero q.
 
-    Uses the Sturm chain of the square-free part of p; the sign variation
-    difference is taken between -infinity and +infinity, read off from
-    leading coefficients. No numeric root finding is involved.
+    The sign variation difference of its Sturm chain is taken between
+    -infinity and +infinity, read off from leading coefficients.
     """
-    if p.is_zero():
-        raise ValueError("root count of the zero polynomial is undefined")
-    q = square_free_part(p)
     if q.degree == 0:
         return 0
     chain = sturm_chain(q)
     at_neg = [_sign(f.leading()) * (-1) ** f.degree for f in chain]
     at_pos = [_sign(f.leading()) for f in chain]
     return _variations(at_neg) - _variations(at_pos)
+
+
+def real_root_count(p: RatPoly) -> int:
+    """Number of distinct real roots of p, counted exactly.
+
+    Uses the Sturm chain of the square-free part of p. No numeric root
+    finding is involved.
+    """
+    if p.is_zero():
+        raise ValueError("root count of the zero polynomial is undefined")
+    return _sturm_count(square_free_part(p))
 
 
 def is_real_rooted(p: RatPoly) -> bool:
@@ -275,7 +283,7 @@ def is_real_rooted(p: RatPoly) -> bool:
     if p.is_zero():
         raise ValueError("real-rootedness of the zero polynomial is undefined")
     q = square_free_part(p)
-    return real_root_count(q) == q.degree
+    return _sturm_count(q) == q.degree
 
 
 def rational_roots(p: RatPoly) -> list[Fraction]:
@@ -294,10 +302,7 @@ def rational_roots(p: RatPoly) -> list[Fraction]:
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
     if len(coeffs) > 1:
-        lcm = 1
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = math.lcm(*(c.denominator for c in coeffs))
         ints = [int(c * lcm) for c in coeffs]
         for pn in _divisors(abs(ints[0])):
             for qd in _divisors(abs(ints[-1])):
@@ -305,12 +310,6 @@ def rational_roots(p: RatPoly) -> list[Fraction]:
                     if p(cand) == 0:
                         roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:

@@ -32,26 +32,25 @@ class FaceBudgetExceeded(RuntimeError):
 def subdivide(K: CubicalComplex) -> CubicalComplex:
     """One round of cubical barycentric subdivision.
 
-    An interval [F, G] is keyed by the pair of the constituent keys. Its
-    covered faces are [F', G] for each F' covering F inside G, and
-    [F, G'] for each G' covered by G with F below it; both kinds are read
-    off the input's cover relation directly.
+    Intervals [F, G] are numbered once as id pairs (f, g) and keyed by the
+    pair of the constituent keys. Covered faces are [F', G] for each F'
+    covering F inside G, and [F, G'] for each G' covered by G with F below
+    it; both kinds are read off the input's cover relation directly.
     """
     lower = K.all_lower_sets()
     parents = K.parents()
-    keys = K.keys
-
-    def ikey(f: int, g: int) -> str:
-        return f"[{keys[f]}|{keys[g]}]"
-
-    faces: dict[str, tuple[int, list[str]]] = {}
+    interval: dict[tuple[int, int], int] = {}
     for g in range(len(K)):
-        in_g = lower[g]
-        for f in in_g:
-            cov = [ikey(f2, g) for f2 in parents[f] if f2 in in_g]
-            cov += [ikey(f, g2) for g2 in K.covered[g] if f in lower[g2]]
-            faces[ikey(f, g)] = (K.dims[g] - K.dims[f], cov)
-    return CubicalComplex.from_keyed_faces(faces)
+        for f in lower[g]:
+            interval[f, g] = len(interval)
+    dims = [K.dims[g] - K.dims[f] for f, g in interval]
+    covered = [
+        [interval[f2, g] for f2 in parents[f] if f2 in lower[g]]
+        + [interval[f, g2] for g2 in K.covered[g] if f in lower[g2]]
+        for f, g in interval
+    ]
+    keys = [f"[{K.keys[f]}|{K.keys[g]}]" for f, g in interval]
+    return CubicalComplex._from_table(dims, covered, keys)
 
 
 def subdivide_n(

@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +350,33 @@ class TestEndToEnd:
         code, out, _ = cli(["--help"])
         assert code == 0
         assert "cubary" in out
+
+
+class TestHostileInput:
+    def test_face_of_huge_dimension_exits_2_fast(self, cli):
+        # a face with too few covers must not make validate() build 3^dim
+        huge = {"dim": 30000000, "faces": [{"id": 0, "dim": 30000000, "covered": [], "key": "a"}]}
+        start = time.perf_counter()
+        code, out, err = cli(["vectors"], stdin_text=json.dumps(huge))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "invalid complex" in err
+
+    def test_deeply_nested_json_exits_1_without_traceback(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubary", "vectors"],
+            input="[" * 200000 + "]" * 200000,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "invalid JSON" in proc.stderr
 
 
 class TestInternalFailurePaths:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -195,21 +196,25 @@ class TestSerialization:
         assert CubicalComplex.from_json(K.to_json()).to_json() == K.to_json()
 
     def test_non_canonical_input_is_renumbered(self):
-        K = gen_cube(1)
-        obj = K.to_json_obj()
-        # permute ids: swap the two vertices
-        remap = {0: 1, 1: 0, 2: 2}
-        obj["faces"] = [
-            {
-                "id": remap[f["id"]],
-                "dim": f["dim"],
-                "covered": [remap[c] for c in f["covered"]],
-                "key": f["key"],
-            }
-            for f in obj["faces"]
-        ]
-        K2 = CubicalComplex.from_json_obj(obj)
-        assert K2.to_json_obj() == K.to_json_obj()
+        # swap the two vertices of a segment; then a fixed-seed random id
+        # permutation of a subdivided cube boundary, faces listed shuffled
+        sd = subdivide(gen_cube_boundary(3))
+        perm = list(range(len(sd)))
+        random.Random(2010).shuffle(perm)
+        for K, remap in ((gen_cube(1), {0: 1, 1: 0, 2: 2}), (sd, dict(enumerate(perm)))):
+            obj = K.to_json_obj()
+            obj["faces"] = [
+                {
+                    "id": remap[f["id"]],
+                    "dim": f["dim"],
+                    "covered": [remap[c] for c in f["covered"]],
+                    "key": f["key"],
+                }
+                for f in obj["faces"]
+            ]
+            random.Random(2011).shuffle(obj["faces"])
+            K2 = CubicalComplex.from_json_obj(obj)
+            assert K2.to_json_obj() == K.to_json_obj()
 
     @pytest.mark.parametrize(
         "mutate",
