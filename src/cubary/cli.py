@@ -23,14 +23,13 @@ from .face_vectors import euler_reduced, f_vector, hc_from_hsc, hsc_from_f, summ
 from .polytools import is_real_rooted, shape_predicates
 from .subdivision import DEFAULT_FACE_BUDGET, FaceBudgetExceeded, subdivide_n
 from .transform import (
+    _distance_to_limit,
     b_matrix,
     c_matrix,
     hc_of_subdivision,
     hc_poly_of_iterate,
     hsc_of_subdivision,
     hsc_poly_of_iterate,
-    limit_distance_hc,
-    limit_distance_hsc,
 )
 from .verify import SUITES, run_suites
 
@@ -81,6 +80,16 @@ def _emit(obj) -> None:
 
 
 def cmd_gen(args) -> int:
+    boundary = args.cube is None
+    dim = args.cube_boundary if boundary else args.cube
+    # the dim-cube has 3^dim faces, its boundary 3^dim - 1; min() keeps a
+    # huge dim from building a huge power just to compare it
+    if dim is not None and dim >= 0 and 3 ** min(dim, 64) - boundary > DEFAULT_FACE_BUDGET:
+        flag, count = ("--cube-boundary", f"3^{dim} - 1") if boundary else ("--cube", f"3^{dim}")
+        return _fail(
+            EXIT_BUDGET,
+            f"{flag} {dim} projects {count} faces, exceeding the face budget of {DEFAULT_FACE_BUDGET}",
+        )
     try:
         if args.cube is not None:
             K = gen_cube(args.cube)
@@ -182,16 +191,13 @@ def cmd_limit(args) -> int:
         return _fail(EXIT_INPUT, "long h-vector limits need d >= 2")
     f_top = f.entries[-1]
     chi = euler_reduced(f)
-    hc = hc_from_hsc(hsc)
     rows = []
     for n in range(args.max_n + 1):
-        scale = Fraction(1, 2 ** (n * (d - 1)))
         if args.which == "hsc":
-            dist = limit_distance_hsc(hsc, f_top, n)
-            vec = [x * scale for x in (hsc_poly_of_iterate(hsc, n)).padded(d)]
+            p_n = hsc_poly_of_iterate(hsc, n)
         else:
-            dist = limit_distance_hc(hc, f_top, chi, n)
-            vec = [x * scale for x in hc_poly_of_iterate(hsc, chi, n).padded(d + 1)]
+            p_n = hc_poly_of_iterate(hsc, chi, n)
+        vec, dist = _distance_to_limit(p_n, args.which, f_top, d, n)
         shapes = shape_predicates(vec)
         rows.append(
             {

@@ -289,38 +289,76 @@ def is_real_rooted(p: RatPoly) -> bool:
 def rational_roots(p: RatPoly) -> list[Fraction]:
     """All distinct rational roots of p, ascending.
 
-    Candidate search over divisors of the cleared constant and leading
-    coefficients; every candidate is confirmed by exact evaluation.
+    Zero is split off first. The rest is made a primitive integer
+    polynomial q (denominators cleared, content divided out) and reduced
+    to its square-free part, so a rational root u/v in lowest terms has
+    v dividing the leading coefficient L of q, and two such roots lie at
+    least 1/L^2 apart. The real roots of q are isolated by Sturm
+    variation counts from a power of two above the Cauchy bound, and
+    each isolating interval is bisected to a width under 1/(2 L^2). The
+    only candidate in it is then the fraction with denominator at most L
+    nearest its midpoint, and it is kept only when exact evaluation
+    gives 0. Every step is integer arithmetic on dyadic points, so the
+    time is polynomial in the degree and the coefficient bit size.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    # strip factors of x, then clear denominators to integer coefficients
-    roots = set()
-    coeffs = list(p.coeffs)
-    if coeffs and coeffs[0] == 0:
-        roots.add(Fraction(0))
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-    if len(coeffs) > 1:
-        lcm = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * lcm) for c in coeffs]
-        for pn in _divisors(abs(ints[0])):
-            for qd in _divisors(abs(ints[-1])):
-                for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
-                    if p(cand) == 0:
-                        roots.add(cand)
+    low = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    roots = [Fraction(0)] if low else []
+    if p.degree > low:
+        sf = square_free_part(RatPoly(_primitive(p.coeffs[low:])))
+        roots += _nonzero_rational_roots(sf)
     return sorted(roots)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            out.append(n // k)
-        k += 1
-    return sorted(set(out))
+def _primitive(coeffs: Sequence[Scalar]) -> list[int]:
+    """Integer coefficients of a positive rational multiple with content 1."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _homogeneous(f: Sequence[int], a: int, b: int) -> int:
+    """b^deg(f) * f(a/b) by integer Horner; its sign is that of f(a/b) for b > 0."""
+    acc, bp = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * bp
+        bp *= b
+    return acc
+
+
+def _nonzero_rational_roots(sf: RatPoly) -> list[Fraction]:
+    """Rational roots of a square-free sf with sf(0) != 0 (see rational_roots)."""
+    q = _primitive(sf.coeffs)
+    chain = [_primitive(f.coeffs) for f in sturm_chain(sf)]
+    lead = abs(q[-1])
+
+    def variations(a: int, k: int) -> int:
+        return _variations([_sign(_homogeneous(f, a, 1 << k)) for f in chain])
+
+    # a power of two above the Cauchy bound 1 + max|q_i| / lead, so no root
+    # lies on either end of the first interval
+    bound = 1 << (max(map(abs, q[:-1])) // lead + 2).bit_length()
+    # (lo, hi, k, V(lo), V(hi)): the interval (lo/2^k, hi/2^k] holds
+    # V(lo) - V(hi) distinct real roots
+    stack = [(-bound, bound, 0, variations(-bound, 0), variations(bound, 0))]
+    roots = []
+    while stack:
+        lo, hi, k, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count == 0:
+            continue
+        if count == 1 and (hi - lo) * 2 * lead * lead < 1 << k:
+            cand = Fraction(lo + hi, 1 << (k + 1)).limit_denominator(lead)
+            if _homogeneous(q, cand.numerator, cand.denominator) == 0:
+                roots.append(cand)
+            continue
+        mid, k = lo + hi, k + 1
+        v_mid = variations(mid, k)
+        stack.append((2 * lo, mid, k, v_lo, v_mid))
+        stack.append((mid, 2 * hi, k, v_mid, v_hi))
+    return roots
 
 
 def shape_predicates(v: Sequence[Scalar]) -> dict:

@@ -14,19 +14,39 @@ from .transform import f_of_subdivision
 
 DEFAULT_FACE_BUDGET = 10**7
 
+# A step may also hold at most this many key characters per budgeted face,
+# counted as projected faces times the projected longest key. Keys double
+# in length each round, so a complex whose face count barely grows (a
+# point, a segment) would otherwise exhaust memory on keys alone. At the
+# default budget this caps a step at 2.5 * 10^8 characters, small next to
+# the face records the budget admits, so complexes with short keys stay
+# bound by their face count.
+KEY_CHARS_PER_FACE = 25
+
 
 class FaceBudgetExceeded(RuntimeError):
-    """Raised before constructing a subdivision step that would be too big."""
+    """Raised before constructing a subdivision step that would be too big.
 
-    def __init__(self, step: int, projected: FVector, budget: int):
+    ``max_key`` is set when the face count fits the budget but the faces
+    times the longest key exceed ``KEY_CHARS_PER_FACE`` times the budget.
+    """
+
+    def __init__(
+        self, step: int, projected: FVector, budget: int, max_key: int | None = None
+    ):
         self.step = step
         self.projected = projected
         self.budget = budget
+        self.max_key = max_key
         total = sum(projected.entries)
-        super().__init__(
-            f"subdivision step {step} projects {total} faces "
-            f"(f = {list(projected.entries)}), exceeding the budget of {budget}"
-        )
+        what = f"subdivision step {step} projects {total} faces (f = {list(projected.entries)})"
+        if max_key is None:
+            super().__init__(f"{what}, exceeding the budget of {budget}")
+        else:
+            super().__init__(
+                f"{what} with keys of up to {max_key} characters, exceeding "
+                f"{KEY_CHARS_PER_FACE} key characters per face of the budget of {budget}"
+            )
 
 
 def subdivide(K: CubicalComplex) -> CubicalComplex:
@@ -59,17 +79,25 @@ def subdivide_n(
     """n-fold subdivision by explicit construction.
 
     Before each step the face count of the result is projected from the
-    current f-vector; a step that would exceed face_budget raises
+    current f-vector, and its longest key from the current one: the key
+    of [F|F] for the longest key F has 2 len(F) + 3 characters, and no
+    key is longer. A step whose faces exceed face_budget, or whose faces
+    times longest key exceed KEY_CHARS_PER_FACE * face_budget, raises
     FaceBudgetExceeded without constructing anything. n=0 returns K
     unchanged.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     f = f_vector(K)
+    max_key = max(map(len, K.keys), default=0)
     for step in range(1, n + 1):
         f = f_of_subdivision(f)
-        if sum(f.entries) > face_budget:
+        max_key = 2 * max_key + 3
+        total = sum(f.entries)
+        if total > face_budget:
             raise FaceBudgetExceeded(step, f, face_budget)
+        if total * max_key > KEY_CHARS_PER_FACE * face_budget:
+            raise FaceBudgetExceeded(step, f, face_budget, max_key)
         K = subdivide(K)
     return K
 

@@ -11,6 +11,7 @@ independent formulations before anything is returned.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,25 +144,30 @@ def _check_c_bivariate(d: int, entries: tuple) -> None:
     function on a grid large enough to separate polynomials of the
     degrees involved (x-degree <= d+2, y-degree <= d+1 after clearing
     the two denominators), at points where neither denominator vanishes.
+
+    Everything is integer arithmetic. The denominators of ``entries``
+    are cleared once into an integer matrix, whose rows are evaluated
+    by Horner in y for each grid y and then in x. The generating
+    function is multiplied through by 2^(d+1) (1+x) (x+3 - (3x+1) y),
+    and the two sides are compared cross-multiplied, so the time is
+    polynomial in d.
     """
+    den = math.lcm(*(e.denominator for row in entries for e in row))
+    rows = [RatPoly(e.numerator * (den // e.denominator) for e in row) for row in entries]
+    # at_y[y][i] = den * sum_j C[i][j] y^j, so den * lhs is a polynomial in x
+    at_y = {y: RatPoly(row(y) for row in rows) for y in range(2, d + 4)}
     for x in range(1, d + 4):
-        xp3 = Fraction(x + 3)
-        x3p1 = Fraction(3 * x + 1)
+        xp3, x3p1 = x + 3, 3 * x + 1
+        a, b = xp3 ** (d - 1), x3p1 ** (d - 1)
         for y in range(2, d + 4):
-            lhs = sum(
-                entries[i][j] * Fraction(x) ** i * Fraction(y) ** j
-                for i in range(d + 1)
-                for j in range(d + 1)
-            )
+            lhs = at_y[y](x)
+            g = xp3 - x3p1 * y
             rhs = (
-                Fraction(1 + x ** (d + 1) * y**d, 1 + x)
-                + Fraction(x * y) * Fraction(2) ** (3 - d)
-                * (xp3 ** (d - 1) - x3p1 ** (d - 1) * y ** (d - 1))
-                / (xp3 - x3p1 * y)
-                + Fraction(x, 2 ** (d - 1) * (1 + x))
-                * (xp3 ** (d - 1) + x3p1 ** (d - 1) * y**d)
+                2 ** (d + 1) * (1 + x ** (d + 1) * y**d) * g
+                + 16 * x * y * (a - b * y ** (d - 1)) * (1 + x)
+                + 4 * x * (a + b * y**d) * g
             )
-            if lhs != rhs:
+            if lhs * 2 ** (d + 1) * (1 + x) * g != den * rhs:
                 raise RuntimeError(
                     f"C({d}) disagrees with its bivariate generating function "
                     f"at x={x}, y={y}"
@@ -232,9 +238,7 @@ def limit_distance_hsc(h: ShortHVector, f_top: int, n: int) -> Fraction:
             f"f_top={f_top} inconsistent with h: sum(h) = {sum(h.entries)} "
             f"!= 2^(d-1) * f_top = {2 ** (d - 1) * f_top}"
         )
-    scaled = hsc_poly_of_iterate(h, n) * Fraction(1, 2 ** (n * (d - 1)))
-    target = f_top * RatPoly((1, 1)) ** (d - 1)
-    return _max_coeff_distance(scaled, target, d)
+    return _distance_to_limit(hsc_poly_of_iterate(h, n), "hsc", f_top, d, n)[1]
 
 
 def limit_distance_hc(h: LongHVector, f_top: int, euler: int, n: int) -> Fraction:
@@ -259,10 +263,7 @@ def limit_distance_hc(h: LongHVector, f_top: int, euler: int, n: int) -> Fractio
             f"f_top={f_top} inconsistent with h: derived short h-vector "
             f"sums to {sum(hsc.entries)}, expected {2 ** (d - 1) * f_top}"
         )
-    hc_n = hc_poly_of_iterate(hsc, euler, n)
-    scaled = hc_n * Fraction(1, 2 ** (n * (d - 1)))
-    target = f_top * RatPoly.x() * RatPoly((1, 1)) ** (d - 2)
-    return _max_coeff_distance(scaled, target, d + 1)
+    return _distance_to_limit(hc_poly_of_iterate(hsc, euler, n), "hc", f_top, d, n)[1]
 
 
 def hc_poly_of_iterate(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
@@ -276,6 +277,23 @@ def hc_poly_of_iterate(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
     return rhs.exact_div(RatPoly((1, 1)))
 
 
-def _max_coeff_distance(p: RatPoly, q: RatPoly, length: int) -> Fraction:
-    pc, qc = p.padded(length), q.padded(length)
-    return max((abs(Fraction(a - b)) for a, b in zip(pc, qc)), default=Fraction(0))
+def _distance_to_limit(
+    p_n: RatPoly, which: str, f_top: int, d: int, n: int
+) -> tuple[tuple, Fraction]:
+    """The level-n short ("hsc") or long ("hc") h-polynomial p_n, scaled
+    by 2^-n(d-1) and padded to d or d+1 coefficients, and its max-norm
+    distance from the limit f_top (x+1)^(d-1) or f_top x (x+1)^(d-2).
+
+    Takes the iterate already built, so a caller that also needs the
+    scaled coefficients builds it once.
+    """
+    if which == "hsc":
+        target, length = f_top * RatPoly((1, 1)) ** (d - 1), d
+    else:
+        target, length = f_top * RatPoly.x() * RatPoly((1, 1)) ** (d - 2), d + 1
+    scaled = (p_n * Fraction(1, 2 ** (n * (d - 1)))).padded(length)
+    dist = max(
+        (abs(Fraction(a - b)) for a, b in zip(scaled, target.padded(length))),
+        default=Fraction(0),
+    )
+    return scaled, dist

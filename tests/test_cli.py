@@ -4,15 +4,26 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cubary import (
+    CubicalComplex,
     LongHVector,
     ShortHVector,
+    euler_reduced,
+    f_vector,
+    hc_from_hsc,
     hc_of_subdivision,
+    hc_poly_of_iterate,
+    hsc_from_f,
     hsc_of_subdivision,
+    hsc_poly_of_iterate,
+    limit_distance_hc,
+    limit_distance_hsc,
+    shape_predicates,
 )
 from cubary.cli import main
 
@@ -83,6 +94,18 @@ class TestGen:
         code, _, _ = cli(["gen"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["--cube", "15"], ["--cube-boundary", "15"], ["--cube", "10000000000"]]
+    )
+    def test_oversized_cube_exits_3_fast(self, cli, argv):
+        # 3^15 - 1 faces exceed the default budget; nothing may be built first
+        start = time.perf_counter()
+        code, out, err = cli(["gen", *argv])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "face budget" in err
+
 
 class TestSubdivide:
     def test_once(self, cli):
@@ -105,6 +128,26 @@ class TestSubdivide:
         )
         assert code == 3
         assert "1538" in err
+
+    def test_point_key_growth_exits_3_without_traceback(self, cli):
+        # a point stays one face, so only the key-length projection stops
+        # it; before, it died in a MemoryError traceback after gigabytes
+        src = gen_json(cli, "--cube", "0")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubary", "subdivide", "-n", "10000"],
+            input=src,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "key characters" in proc.stderr
 
     def test_invalid_complex_exits_2(self, cli):
         code, _, err = cli(["subdivide", "-n", "1"], stdin_text=BAD_COMPLEX)
@@ -283,6 +326,30 @@ class TestLimit:
         assert code == 1
         assert out == ""
         assert "max-n" in err
+
+    @pytest.mark.parametrize("which", ["hsc", "hc"])
+    def test_rows_match_the_public_functions(self, cli, which):
+        # each row as the seed computed it: the distance from the public
+        # limit_distance_* and the shapes from the iterate built again
+        src = gen_json(cli, "--cube-boundary", "4")
+        code, out, _ = cli(["limit", "--max-n", "6", "--which", which], stdin_text=src)
+        assert code == 0
+        f = f_vector(CubicalComplex.from_json(src))
+        d, f_top, chi = f.d, f.entries[-1], euler_reduced(f)
+        hsc = hsc_from_f(f)
+        rows = []
+        for n in range(7):
+            scale = Fraction(1, 2 ** (n * (d - 1)))
+            if which == "hsc":
+                dist = limit_distance_hsc(hsc, f_top, n)
+                vec = [x * scale for x in hsc_poly_of_iterate(hsc, n).padded(d)]
+            else:
+                dist = limit_distance_hc(hc_from_hsc(hsc), f_top, chi, n)
+                vec = [x * scale for x in hc_poly_of_iterate(hsc, chi, n).padded(d + 1)]
+            rows.append({"n": n, "distance": str(dist), **shape_predicates(vec)})
+        got = json.loads(out)
+        assert got["d"] == d
+        assert [{k: r[k] for k in rows[0]} for r in got["rows"]] == rows
 
     def test_decimal_rendering(self, cli):
         src = gen_json(cli, "--cube-boundary", "3")

@@ -1,0 +1,157 @@
+"""The integer root search and C-matrix cross-check against the seed's.
+
+``rational_roots`` must return exactly the oracle's list on planted
+polynomials with small coefficients (fixed seed and hypothesis), on the
+(8,8,8) iterates for n = 0..18 and on iterates of seeded voxel h-vectors.
+Both bivariate checks must accept ``c_matrix`` for d = 1..20 and reject,
+with the same message, a single perturbed entry and two swapped columns.
+The last tests guard the inputs on which the seed's routines hung.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubary import (
+    RatPoly,
+    ShortHVector,
+    c_matrix,
+    f_vector,
+    hsc_from_f,
+    hsc_poly_of_iterate,
+    rational_roots,
+)
+from cubary import transform
+from cubary.cli import main
+from cubary.corpus import random_voxel_complexes
+from exact_oracle import check_c_bivariate_oracle, rational_roots_oracle
+
+
+def planted_poly(randint) -> RatPoly:
+    """A polynomial with planted factors, each size drawn by randint(lo, hi).
+
+    A nonzero rational constant, a power of x, rational roots with
+    multiplicity 1 or 2 and irreducible quadratics x^2 + bx + c (b^2 < 4c);
+    one draw in four then adds a constant, which usually leaves irrational
+    real roots or none in place of the planted ones.
+    """
+    p = RatPoly((Fraction(randint(1, 6) * (-1) ** randint(0, 1), randint(1, 4)),))
+    p = p * RatPoly.x() ** randint(0, 2)
+    for _ in range(randint(0, 3)):
+        root = Fraction(randint(-6, 6), randint(1, 4))
+        p = p * RatPoly((-root, 1)) ** randint(1, 2)
+    for _ in range(randint(0, 2)):
+        p = p * RatPoly((randint(2, 4), randint(-2, 2), 1))
+    if randint(0, 3) == 0:
+        p = p + randint(-3, 3)
+    return p
+
+
+def _agree(p: RatPoly) -> None:
+    if p.is_zero():
+        for roots in (rational_roots, rational_roots_oracle):
+            with pytest.raises(ValueError):
+                roots(p)
+        return
+    got = rational_roots(p)
+    assert got == rational_roots_oracle(p), p
+    assert all(type(r) is Fraction for r in got)
+
+
+class TestRationalRoots:
+    def test_small_cases(self):
+        for coeffs in ((7,), (Fraction(-2, 3),), (0, 0, 5), (0, -1, 2), (-6, 11, -6, 1),
+                       (1, 1, 1), (-2, 0, 1), (1, -2, 1), (Fraction(1, 4), -1, 1)):
+            _agree(RatPoly(coeffs))
+
+    def test_planted_fixed_seed(self):
+        rng = random.Random(1976)
+        for _ in range(200):
+            _agree(planted_poly(rng.randint))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_planted_hypothesis(self, data):
+        _agree(planted_poly(lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+    def test_iterates_of_888(self):
+        for n in range(19):
+            _agree(hsc_poly_of_iterate(ShortHVector((8, 8, 8)), n))
+
+    def test_iterates_of_seeded_voxel_complexes(self):
+        for dim, seed, ns in ((2, 701, (2, 4, 6, 8)), (3, 702, (2, 4))):
+            for _, K in random_voxel_complexes(seed, dim, 4):
+                h = hsc_from_f(f_vector(K))
+                for n in ns:
+                    _agree(hsc_poly_of_iterate(h, n))
+
+
+CHECKS = [transform._check_c_bivariate, check_c_bivariate_oracle]
+
+
+def _perturbed(entries: tuple, d: int) -> tuple:
+    rows = [list(row) for row in entries]
+    rows[d // 2][d // 3] += Fraction(1, 2 ** (d + 2))
+    return tuple(map(tuple, rows))
+
+
+def _swapped(entries: tuple, d: int) -> tuple:
+    j = d // 3
+    rows = [list(row) for row in entries]
+    for row in rows:
+        row[j], row[j + 1] = row[j + 1], row[j]
+    out = tuple(map(tuple, rows))
+    assert out != entries
+    return out
+
+
+class TestBivariateCheck:
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_both_accept_c_matrix(self, d):
+        for check in CHECKS:
+            check(d, c_matrix(d).entries)
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    @pytest.mark.parametrize("mutate", [_perturbed, _swapped], ids=lambda m: m.__name__)
+    def test_both_reject_with_the_same_message(self, d, mutate):
+        bad = mutate(c_matrix(d).entries, d)
+        messages = []
+        for check in CHECKS:
+            with pytest.raises(RuntimeError) as exc:
+                check(d, bad)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_perturbed_matrix_exits_4(self, monkeypatch, capsys):
+        d = 7
+        bad = _perturbed(c_matrix(d).entries, d)
+        monkeypatch.setattr(transform, "_c_closed_forms", lambda d: bad)
+        monkeypatch.setattr(transform, "_c_alternating_sums", lambda d: bad)
+        transform.c_matrix.cache_clear()
+        try:
+            code = main(["coeffs", "--matrix", "C", "-d", str(d)])
+        finally:
+            transform.c_matrix.cache_clear()
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert "bivariate generating function" in err
+
+
+class TestFormerHangs:
+    def test_roots_of_888_at_n_30(self):
+        # 63-bit coefficients: the seed's divisor search did not finish in 20 s
+        start = time.perf_counter()
+        assert rational_roots(hsc_poly_of_iterate(ShortHVector((8, 8, 8)), 30)) == []
+        assert time.perf_counter() - start < 5
+
+    def test_c_matrix_30_builds(self):
+        transform.c_matrix.cache_clear()
+        start = time.perf_counter()
+        C = c_matrix(30)
+        assert time.perf_counter() - start < 5
+        assert C.size == 31 and C.entries[0][0] == 1

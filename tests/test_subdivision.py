@@ -103,6 +103,16 @@ class TestSubdivideN:
         assert sum(exc.value.projected.entries) == 1538
         assert "1538" in str(exc.value)
 
+    def test_key_length_budget(self):
+        # a point stays one face while its key grows from 1 to 2^(n+2) - 3
+        # characters; the budget of 1000 allows 25,000 key characters
+        with pytest.raises(FaceBudgetExceeded) as exc:
+            subdivide_n(gen_cube(0), 100, face_budget=1000)
+        assert exc.value.step == 13
+        assert exc.value.max_key == 2**15 - 3
+        assert "32765" in str(exc.value)
+        assert len(subdivide_n(gen_cube(0), 12, face_budget=1000).keys[0]) == 2**14 - 3
+
     def test_budget_checked_before_construction(self):
         # a budget bust at step 1 must not build anything big first
         K = gen_cube_boundary(4)
