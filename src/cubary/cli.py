@@ -6,7 +6,11 @@ chained and each identity stays independently scriptable.
 
 Exit codes: 0 success; 1 I/O, parse, or argument failure; 2 invalid
 complex; 3 face budget exceeded; 4 coefficient-matrix cross-check
-failure; 5 verification suite failure.
+failure; 5 verification suite failure. Oversize input exits 3 before
+anything is built: gen --cube D and --cube-boundary D (3^D faces), gen
+--voxels with a dim D line (one D-cube alone has 3^D faces) and mine
+--dim D (the side-4 grid has 9^D faces), each against the default face
+budget.
 """
 
 from __future__ import annotations
@@ -46,33 +50,39 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    def exit_with(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_INPUT
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"cubary: error: {message}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """A command's failure; main() prints the message and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-def _read_complex_stdin() -> CubicalComplex:
-    return CubicalComplex.from_json(sys.stdin.read())
-
-
-def _validated(K: CubicalComplex) -> CubicalComplex:
-    report = validate(K)
+def _complex_from_stdin() -> CubicalComplex:
+    """The complex on stdin: exit 1 if it does not parse, 2 if it is invalid."""
+    try:
+        K = CubicalComplex.from_json(sys.stdin.read())
+        report = validate(K)
+    except ValueError as exc:
+        raise _Failure(EXIT_INPUT, str(exc)) from exc
     if not report.ok:
-        raise _InvalidComplex(report.violations)
+        raise _Failure(EXIT_INVALID, "invalid complex: " + "; ".join(report.violations))
     return K
 
 
-class _InvalidComplex(Exception):
-    def __init__(self, violations):
-        self.violations = violations
-        super().__init__("; ".join(violations))
+def _check_budget(what: str, base: int, dim: int, less: int = 0) -> None:
+    """Exit 3, before building anything, when base^dim - less faces exceed
+    the default budget; min() keeps a huge dim from building a huge power
+    just to compare it."""
+    if dim >= 0 and base ** min(dim, 64) - less > DEFAULT_FACE_BUDGET:
+        count = f"{base}^{dim}" + (f" - {less}" if less else "")
+        raise _Failure(
+            EXIT_BUDGET,
+            f"{what} projects {count} faces, exceeding the face budget of {DEFAULT_FACE_BUDGET}",
+        )
 
 
 def _emit(obj) -> None:
@@ -80,57 +90,40 @@ def _emit(obj) -> None:
 
 
 def cmd_gen(args) -> int:
-    boundary = args.cube is None
-    dim = args.cube_boundary if boundary else args.cube
-    # the dim-cube has 3^dim faces, its boundary 3^dim - 1; min() keeps a
-    # huge dim from building a huge power just to compare it
-    if dim is not None and dim >= 0 and 3 ** min(dim, 64) - boundary > DEFAULT_FACE_BUDGET:
-        flag, count = ("--cube-boundary", f"3^{dim} - 1") if boundary else ("--cube", f"3^{dim}")
-        return _fail(
-            EXIT_BUDGET,
-            f"{flag} {dim} projects {count} faces, exceeding the face budget of {DEFAULT_FACE_BUDGET}",
-        )
     try:
         if args.cube is not None:
+            _check_budget(f"--cube {args.cube}", 3, args.cube)
             K = gen_cube(args.cube)
         elif args.cube_boundary is not None:
+            _check_budget(f"--cube-boundary {args.cube_boundary}", 3, args.cube_boundary, 1)
             K = gen_cube_boundary(args.cube_boundary)
         else:
             with open(args.voxels, "r", encoding="utf-8") as fh:
-                K = from_voxels(parse_voxel_text(fh.read()))
+                spec = parse_voxel_text(fh.read())
+            # every voxel complex has at least the 3^D faces of one D-cube
+            _check_budget(f"--voxels dim {spec.ambient_dim}", 3, spec.ambient_dim)
+            K = from_voxels(spec)
     except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        raise _Failure(EXIT_INPUT, str(exc)) from exc
     report = validate(K)
     if not report.ok:
-        return _fail(EXIT_INVALID, f"generated complex failed validation: {report.violations[0]}")
+        raise _Failure(EXIT_INVALID, f"generated complex failed validation: {report.violations[0]}")
     _emit(K.to_json_obj())
     return EXIT_OK
 
 
 def cmd_subdivide(args) -> int:
     if args.budget < 0:
-        return _fail(EXIT_INPUT, "budget must be >= 0")
-    try:
-        K = _validated(_read_complex_stdin())
-        K = subdivide_n(K, args.n, face_budget=args.budget)
-    except FaceBudgetExceeded as exc:
-        return _fail(EXIT_BUDGET, str(exc))
-    except _InvalidComplex as exc:
-        return _fail(EXIT_INVALID, f"invalid complex: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    _emit(K.to_json_obj())
+        raise _Failure(EXIT_INPUT, "budget must be >= 0")
+    K = _complex_from_stdin()
+    if args.n < 0:
+        raise _Failure(EXIT_INPUT, "n must be >= 0")
+    _emit(subdivide_n(K, args.n, face_budget=args.budget).to_json_obj())
     return EXIT_OK
 
 
 def cmd_vectors(args) -> int:
-    try:
-        K = _validated(_read_complex_stdin())
-    except _InvalidComplex as exc:
-        return _fail(EXIT_INVALID, f"invalid complex: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    payload = summary(K)
+    payload = summary(_complex_from_stdin())
     payload["hsc_shape"] = shape_predicates(payload["hsc"])
     payload["hc_shape"] = shape_predicates(payload["hc"])
     _emit(payload)
@@ -139,30 +132,25 @@ def cmd_vectors(args) -> int:
 
 def cmd_coeffs(args) -> int:
     if args.d < 1:
-        return _fail(EXIT_INPUT, "d must be >= 1")
+        raise _Failure(EXIT_INPUT, "d must be >= 1")
     try:
         M = b_matrix(args.d) if args.matrix == "B" else c_matrix(args.d)
     except RuntimeError as exc:
-        return _fail(EXIT_CROSSCHECK, f"cross-check failure: {exc}")
+        raise _Failure(EXIT_CROSSCHECK, f"cross-check failure: {exc}") from exc
     _emit(M.to_json_obj())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.corpus is not None:
-            complexes = corpus_mod.default_corpus()
-        else:
-            complexes = [("stdin", _validated(_read_complex_stdin()))]
-    except _InvalidComplex as exc:
-        return _fail(EXIT_INVALID, f"invalid complex: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    if args.corpus is not None:
+        complexes = corpus_mod.default_corpus()
+    else:
+        complexes = [("stdin", _complex_from_stdin())]
     report = run_suites(args.suite, complexes)
     _emit(report)
     if not report["ok"]:
         first = next(r for r in report["checks"] if not r["ok"])
-        return _fail(
+        raise _Failure(
             EXIT_VERIFY,
             f"check {first['check']} failed on {first['item']}: {first['detail']}",
         )
@@ -177,18 +165,12 @@ def _decimal10(x: Fraction) -> str:
 
 def cmd_limit(args) -> int:
     if args.max_n < 0:
-        return _fail(EXIT_INPUT, "max-n must be >= 0")
-    try:
-        K = _validated(_read_complex_stdin())
-    except _InvalidComplex as exc:
-        return _fail(EXIT_INVALID, f"invalid complex: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    f = f_vector(K)
+        raise _Failure(EXIT_INPUT, "max-n must be >= 0")
+    f = f_vector(_complex_from_stdin())
     d = f.d
     hsc = hsc_from_f(f)
     if args.which == "hc" and d < 2:
-        return _fail(EXIT_INPUT, "long h-vector limits need d >= 2")
+        raise _Failure(EXIT_INPUT, "long h-vector limits need d >= 2")
     f_top = f.entries[-1]
     chi = euler_reduced(f)
     rows = []
@@ -215,11 +197,13 @@ def cmd_limit(args) -> int:
 
 def cmd_mine(args) -> int:
     if not 0 <= args.seed < 2**64:
-        return _fail(EXIT_INPUT, "seed must be a 64-bit unsigned integer")
+        raise _Failure(EXIT_INPUT, "seed must be a 64-bit unsigned integer")
     if args.dim < 1:
-        return _fail(EXIT_INPUT, "dim must be >= 1")
+        raise _Failure(EXIT_INPUT, "dim must be >= 1")
     if args.trials < 0:
-        return _fail(EXIT_INPUT, "trials must be >= 0")
+        raise _Failure(EXIT_INPUT, "trials must be >= 0")
+    # each draw comes from the side-4 grid, whose complex has 9^dim faces
+    _check_budget(f"--dim {args.dim}", 9, args.dim)
     import random
 
     rng = random.Random(args.seed)
@@ -335,12 +319,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except SystemExit as exc:  # from argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    return args.fn(args)
+    except _Failure as exc:
+        code, message = exc.code, str(exc)
+    except FaceBudgetExceeded as exc:
+        code, message = EXIT_BUDGET, str(exc)
+    print(f"cubary: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from .face_vectors import FVector, LongHVector, ShortHVector, hsc_from_hc
-from .polytools import RatPoly, Scalar, mobius_transform
+from .polytools import RatPoly, Scalar, _exact, mobius_transform
 
 
 @dataclass(frozen=True)
@@ -115,27 +115,20 @@ def _c_closed_forms(d: int) -> tuple:
 
 
 def _c_alternating_sums(d: int) -> tuple:
-    """C entries from alternating sums of B columns (B(d,k,d) taken as 0)."""
-    B = b_matrix(d)
+    """C entries from alternating sums of B columns (B(d,k,d) taken as 0).
+
+    C[i][j] = (-1)^i [j=0] + sum_{k<i} (-1)^(i+k-1) (B[k][j] + B[k][j-1]),
+    computed by the recursion it sums: C[0][j] = [j=0] and
+    C[i+1][j] = B[i][j] + B[i][j-1] - C[i][j], so the time is O(d^2).
+    """
+    B = b_matrix(d).entries
 
     def b(k: int, j: int) -> Scalar:
-        return 0 if j == d else B.entries[k][j]
+        return B[k][j] if 0 <= j < d else 0
 
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for j in range(d + 1):
-            if i == 0:
-                row.append(1 if j == 0 else 0)
-                continue
-            s = sum(
-                (-1) ** (i + k - 1) * (b(k, j) + (b(k, j - 1) if j >= 1 else 0))
-                for k in range(i)
-            )
-            if j == 0:
-                s += (-1) ** i
-            row.append(int(s) if isinstance(s, Fraction) and s.denominator == 1 else s)
-        rows.append(tuple(row))
+    rows = [tuple(int(j == 0) for j in range(d + 1))]
+    for i in range(d):
+        rows.append(tuple(_exact(b(i, j) + b(i, j - 1) - c) for j, c in enumerate(rows[-1])))
     return tuple(rows)
 
 

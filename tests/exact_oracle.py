@@ -1,18 +1,20 @@
-"""The seed's trial-division root search and Fraction-evaluated C-matrix
-cross-check, kept as test oracles.
+"""The seed's trial-division root search, Fraction-evaluated C-matrix
+cross-check and term-by-term alternating sums, kept as test oracles.
 
 ``cubary.rational_roots`` replaced the divisor search with Sturm
-isolation and bisection over integers, and ``_check_c_bivariate`` now
-evaluates both sides with integer Horner. The oracles below are the
-seed's code, unchanged but for their names; they take time exponential
-in the coefficient bit size (roots) or rebuild every power as a
-``Fraction`` (bivariate check), so tests feed them small inputs only.
+isolation and bisection over integers, ``_check_c_bivariate`` now
+evaluates both sides with integer Horner, and ``_c_alternating_sums``
+runs the recursion its sums satisfy. The oracles below are the seed's
+code, unchanged but for their names; they take time exponential in the
+coefficient bit size (roots), rebuild every power as a ``Fraction``
+(bivariate check) or take O(d^3) additions (alternating sums), so tests
+feed them small inputs only.
 """
 
 import math
 from fractions import Fraction
 
-from cubary import RatPoly
+from cubary import RatPoly, b_matrix
 
 
 def rational_roots_oracle(p: RatPoly) -> list[Fraction]:
@@ -80,3 +82,28 @@ def check_c_bivariate_oracle(d: int, entries: tuple) -> None:
                     f"C({d}) disagrees with its bivariate generating function "
                     f"at x={x}, y={y}"
                 )
+
+
+def c_alternating_sums_oracle(d: int) -> tuple:
+    """C entries from alternating sums of B columns (B(d,k,d) taken as 0)."""
+    B = b_matrix(d)
+
+    def b(k: int, j: int):
+        return 0 if j == d else B.entries[k][j]
+
+    rows = []
+    for i in range(d + 1):
+        row = []
+        for j in range(d + 1):
+            if i == 0:
+                row.append(1 if j == 0 else 0)
+                continue
+            s = sum(
+                (-1) ** (i + k - 1) * (b(k, j) + (b(k, j - 1) if j >= 1 else 0))
+                for k in range(i)
+            )
+            if j == 0:
+                s += (-1) ** i
+            row.append(int(s) if isinstance(s, Fraction) and s.denominator == 1 else s)
+        rows.append(tuple(row))
+    return tuple(rows)

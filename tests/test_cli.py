@@ -15,6 +15,8 @@ from cubary import (
     ShortHVector,
     euler_reduced,
     f_vector,
+    gen_cube,
+    gen_cube_boundary,
     hc_from_hsc,
     hc_of_subdivision,
     hc_poly_of_iterate,
@@ -470,3 +472,120 @@ class TestInternalFailurePaths:
         assert code == 5
         assert "fvec" in err and "cube_1" in err
         assert json.loads(out)["ok"] is False
+
+
+def _synthetic_mismatch(d):
+    raise RuntimeError("synthetic mismatch")
+
+
+FAILED_REPORT = {
+    "suite": "fvec",
+    "items": ["cube_1"],
+    "checks": [{"item": "cube_1", "check": "fvec", "ok": False, "detail": "synthetic"}],
+    "ok": False,
+}
+SQUARE = gen_cube(2).to_json()
+POINT = gen_cube(0).to_json()
+BOUNDARY_3 = gen_cube_boundary(3).to_json()
+MINE = ["mine", "--target", "unimodality", "--trials", "1"]
+BAD_VIOLATIONS = "face 3 of dim 1 covers 3 faces, expected 2*1; face 3 of dim 1 is not a cube: 3 facets, expected 2"
+
+# (id, argv, stdin, (name in cubary.cli, replacement) or None, exit code, stderr
+# after "cubary: error: "); {tmp} in argv and stderr is the voxel file directory
+FAILURES = [
+    ("subdivide-budget", ["subdivide", "-n", "1", "--budget", "-5"], SQUARE, None, 1,
+     "budget must be >= 0"),
+    ("subdivide-n", ["subdivide", "-n", "-2"], SQUARE, None, 1, "n must be >= 0"),
+    ("coeffs-d", ["coeffs", "--matrix", "B", "-d", "0"], "", None, 1, "d must be >= 1"),
+    ("limit-max-n", ["limit", "--max-n", "-3"], SQUARE, None, 1, "max-n must be >= 0"),
+    ("limit-hc-d", ["limit", "--max-n", "2", "--which", "hc"], POINT, None, 1,
+     "long h-vector limits need d >= 2"),
+    ("mine-seed-negative", [*MINE, "--dim", "2", "--seed", "-1"], "", None, 1,
+     "seed must be a 64-bit unsigned integer"),
+    ("mine-seed-2^64", [*MINE, "--dim", "2", "--seed", str(2**64)], "", None, 1,
+     "seed must be a 64-bit unsigned integer"),
+    ("mine-dim", [*MINE, "--dim", "0", "--seed", "0"], "", None, 1, "dim must be >= 1"),
+    ("mine-trials", ["mine", "--target", "realroot", "--dim", "2", "--trials", "-1", "--seed", "0"],
+     "", None, 1, "trials must be >= 0"),
+    ("gen-cube", ["gen", "--cube", "-1"], "", None, 1, "d must be >= 0"),
+    ("gen-cube-boundary", ["gen", "--cube-boundary", "0"], "", None, 1,
+     "cube boundary needs d >= 1 (no empty complexes)"),
+    ("gen-missing-file", ["gen", "--voxels", "{tmp}/missing.txt"], "", None, 1,
+     "[Errno 2] No such file or directory: '{tmp}/missing.txt'"),
+    ("gen-duplicate-corner", ["gen", "--voxels", "{tmp}/dup.txt"], "", None, 1,
+     "duplicate corners in voxel spec"),
+    ("gen-no-dim-line", ["gen", "--voxels", "{tmp}/nodim.txt"], "", None, 1,
+     "voxel file must start with 'dim <n>'"),
+    ("parse-vectors", ["vectors"], "{oops", None, 1,
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("parse-verify", ["verify", "--suite", "fvec"], "", None, 1,
+     "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("invalid-subdivide", ["subdivide", "-n", "1"], BAD_COMPLEX, None, 2,
+     f"invalid complex: {BAD_VIOLATIONS}"),
+    ("invalid-vectors", ["vectors"], BAD_COMPLEX, None, 2, f"invalid complex: {BAD_VIOLATIONS}"),
+    ("invalid-verify", ["verify", "--suite", "fvec"], BAD_COMPLEX, None, 2,
+     f"invalid complex: {BAD_VIOLATIONS}"),
+    ("invalid-limit", ["limit", "--max-n", "1"], BAD_COMPLEX, None, 2,
+     f"invalid complex: {BAD_VIOLATIONS}"),
+    ("gen-validation", ["gen", "--cube", "2"], "",
+     ("gen_cube", lambda d: CubicalComplex.from_json(BAD_COMPLEX)), 2,
+     "generated complex failed validation: face 3 of dim 1 covers 3 faces, expected 2*1"),
+    ("budget-subdivide-faces", ["subdivide", "-n", "9", "--budget", "1000"], BOUNDARY_3, None, 3,
+     "subdivision step 3 projects 1538 faces (f = [386, 768, 384]), exceeding the budget of 1000"),
+    ("budget-subdivide-keys", ["subdivide", "-n", "10000", "--budget", "10"], POINT, None, 3,
+     "subdivision step 6 projects 1 faces (f = [1]) with keys of up to 253 characters, "
+     "exceeding 25 key characters per face of the budget of 10"),
+    ("budget-cube", ["gen", "--cube", "15"], "", None, 3,
+     "--cube 15 projects 3^15 faces, exceeding the face budget of 10000000"),
+    ("budget-cube-boundary", ["gen", "--cube-boundary", "15"], "", None, 3,
+     "--cube-boundary 15 projects 3^15 - 1 faces, exceeding the face budget of 10000000"),
+    ("budget-voxels", ["gen", "--voxels", "{tmp}/dim16.txt"], "", None, 3,
+     "--voxels dim 16 projects 3^16 faces, exceeding the face budget of 10000000"),
+    ("budget-mine", [*MINE, "--dim", "8", "--seed", "0"], "", None, 3,
+     "--dim 8 projects 9^8 faces, exceeding the face budget of 10000000"),
+    ("budget-mine-2^64", [*MINE, "--dim", str(2**64), "--seed", "0"], "", None, 3,
+     f"--dim {2**64} projects 9^{2**64} faces, exceeding the face budget of 10000000"),
+    ("cross-check", ["coeffs", "--matrix", "C", "-d", "3"], "", ("c_matrix", _synthetic_mismatch), 4,
+     "cross-check failure: synthetic mismatch"),
+    ("verify", ["verify", "--suite", "fvec", "--corpus", "default"], "",
+     ("run_suites", lambda *a, **k: FAILED_REPORT), 5, "check fvec failed on cube_1: synthetic"),
+]
+
+
+class TestFailureOutput:
+    """Each failure kind ends in exactly one pinned stderr line and exit code."""
+
+    @pytest.fixture()
+    def voxel_dir(self, tmp_path):
+        (tmp_path / "dup.txt").write_text("dim 2\n0 0\n0 0\n")
+        (tmp_path / "nodim.txt").write_text("0 0\n")
+        (tmp_path / "dim16.txt").write_text("dim 16\n" + "0 " * 16 + "\n")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv,stdin,patch,code,message", [case[1:] for case in FAILURES], ids=[c[0] for c in FAILURES]
+    )
+    def test_exact_stderr(self, cli, monkeypatch, voxel_dir, argv, stdin, patch, code, message):
+        if patch:
+            monkeypatch.setattr(f"cubary.cli.{patch[0]}", patch[1])
+        tmp = str(voxel_dir)
+        start = time.perf_counter()
+        got = cli([a.replace("{tmp}", tmp) for a in argv], stdin_text=stdin)
+        # every refusal comes before any real work
+        assert time.perf_counter() - start < 5
+        out = json.dumps(FAILED_REPORT, separators=(",", ":")) + "\n" if code == 5 else ""
+        assert got == (code, out, f"cubary: error: {message.replace('{tmp}', tmp)}\n")
+
+    @pytest.mark.parametrize(
+        "argv,last",
+        [
+            (["gen"], "cubary gen: error: one of the arguments --cube --cube-boundary --voxels is required"),
+            ([*MINE, "--dim", "x", "--seed", "0"], "cubary mine: error: argument --dim: invalid int value: 'x'"),
+        ],
+        ids=["gen-no-source", "mine-dim-not-int"],
+    )
+    def test_usage_error(self, cli, argv, last):
+        code, out, err = cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: cubary ")
+        assert err.splitlines()[-1] == last

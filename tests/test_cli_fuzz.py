@@ -1,11 +1,15 @@
-"""Fuzz the CLI with mutated complex JSON on stdin.
+"""Fuzz the CLI with mutated complex JSON on stdin and mutated argv.
 
-Each example takes a small valid complex, mutates its JSON either as
-text (a character deleted, inserted or replaced) or as a structure (a
+Each stdin example takes a small valid complex, mutates its JSON either
+as text (a character deleted, inserted or replaced) or as a structure (a
 field replaced by an arbitrary JSON value, a field or face dropped, a
 face duplicated under its own id or as a fresh face, a cover added),
-and feeds it to one command through ``cli.main`` in-process. Whatever the input, the command must return an
-exit code from 0 to 5, raise nothing, and on exit 0 print JSON.
+and feeds it to one command through ``cli.main`` in-process. Each argv
+example takes a real command line and drops, duplicates or replaces
+tokens, with a small valid complex on stdin. Whatever the input, the
+command must return an exit code from 0 to 5, raise nothing, on exit 0
+print JSON, and otherwise end stderr with an ``error:`` line (for the
+stdin fuzz, the only line).
 """
 
 import contextlib
@@ -122,3 +126,72 @@ def test_mutated_complex_json(argv, text):
             json.loads(line)
     else:
         assert err.count("\n") == 1, err
+
+
+VALUES = ["-1", "0", "1", "2", "x", "", "1.5"]
+# flags whose size is checked before any work, so huge values stay fast
+BOUNDED = {"--cube", "--cube-boundary", "--dim", "--seed", "--budget"}
+HUGE = [str(2**64), str(10**6)]
+VOXELS = "{voxels}"
+SQUARE = json.dumps(BASES[1])
+
+ARGVS = [
+    ["gen", "--cube", "2"],
+    ["gen", "--cube-boundary", "2"],
+    ["gen", "--voxels", VOXELS],
+    ["subdivide", "-n", "1", "--budget", "1000"],
+    ["vectors"],
+    ["coeffs", "--matrix", "C", "-d", "2"],
+    ["verify", "--suite", "fvec"],
+    ["limit", "--max-n", "2", "--which", "hc"],
+    ["mine", "--target", "realroot", "--dim", "2", "--trials", "2", "--seed", "0"],
+]
+
+
+@st.composite
+def mutated_argv(draw, argv):
+    """argv with a flag's value replaced (half the time by a huge one if the
+    flag is bounded), which mostly leaves it valid, then up to two more
+    edits: a token dropped, duplicated or replaced, or another value."""
+    argv = list(argv)
+    more = st.sampled_from(["drop", "duplicate", "replace", "value"])
+    for edit in ["value"] + draw(st.lists(more, max_size=2)):
+        if edit == "value":
+            flags = [i for i, a in enumerate(argv[:-1]) if a.startswith("-")]
+            if flags:
+                i = draw(st.sampled_from(flags))
+                values = st.sampled_from(VALUES)
+                if argv[i] in BOUNDED:
+                    values = st.sampled_from(HUGE) | values
+                argv[i + 1] = draw(values)
+        elif argv:
+            pos = draw(st.integers(0, len(argv) - 1))
+            if edit == "drop":
+                del argv[pos]
+            elif edit == "duplicate":
+                argv.insert(pos, argv[pos])
+            else:
+                argv[pos] = draw(st.sampled_from(VALUES))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def voxel_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv") / "voxels.txt"
+    path.write_text("dim 2\n0 0\n1 0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("base", ARGVS, ids=lambda a: "-".join(a[:2]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_argv(voxel_file, base, data):
+    argv = [voxel_file if a == VOXELS else a for a in data.draw(mutated_argv(base))]
+    code, out, err = run_cli(argv, SQUARE)
+    assert code in range(6), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        for line in out.splitlines():
+            json.loads(line)
+    else:
+        assert "error:" in err.splitlines()[-1], (argv, err)

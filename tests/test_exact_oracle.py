@@ -5,6 +5,8 @@ polynomials with small coefficients (fixed seed and hypothesis), on the
 (8,8,8) iterates for n = 0..18 and on iterates of seeded voxel h-vectors.
 Both bivariate checks must accept ``c_matrix`` for d = 1..20 and reject,
 with the same message, a single perturbed entry and two swapped columns.
+The alternating sums over B must equal the oracle's, entry and type, for
+d = 1..30, and ``c_matrix`` must refuse a B that disagrees with them.
 The last tests guard the inputs on which the seed's routines hung.
 """
 
@@ -28,7 +30,11 @@ from cubary import (
 from cubary import transform
 from cubary.cli import main
 from cubary.corpus import random_voxel_complexes
-from exact_oracle import check_c_bivariate_oracle, rational_roots_oracle
+from exact_oracle import (
+    c_alternating_sums_oracle,
+    check_c_bivariate_oracle,
+    rational_roots_oracle,
+)
 
 
 def planted_poly(randint) -> RatPoly:
@@ -140,6 +146,27 @@ class TestBivariateCheck:
         assert code == 4
         assert out == ""
         assert "bivariate generating function" in err
+
+
+class TestAlternatingSums:
+    @pytest.mark.parametrize("d", range(1, 31))
+    def test_recursion_equals_the_sums(self, d):
+        got = transform._c_alternating_sums(d)
+        want = c_alternating_sums_oracle(d)
+        assert got == want
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+
+    def test_perturbed_b_is_refused(self, monkeypatch):
+        d = 7
+        B = transform.b_matrix(d)
+        bad = _perturbed(B.entries, d - 1)
+        monkeypatch.setattr(transform, "b_matrix", lambda d: transform.CoeffMatrix("B", d, bad))
+        transform.c_matrix.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="closed forms disagree with alternating sums over B"):
+                c_matrix(d)
+        finally:
+            transform.c_matrix.cache_clear()
 
 
 class TestFormerHangs:
