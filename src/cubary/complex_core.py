@@ -123,9 +123,6 @@ class CubicalComplex:
     def dim(self) -> int:
         return max(self.dims)
 
-    def face_ids_of_dim(self, j: int) -> list[int]:
-        return [i for i, d in enumerate(self.dims) if d == j]
-
     def lower_set(self, fid: int) -> frozenset[int]:
         """Ids of all subfaces of fid, including fid itself."""
         self._check_id(fid)
@@ -464,6 +461,44 @@ def _cube_faces(ambient: int, corners: Iterable[tuple[int, ...]]) -> tuple[list,
                 covered.append(cov)
                 keys.append(",".join(map(str, free)) + ";" + ",".join(map(str, w)))
     return dims, covered, keys
+
+
+def _voxel_f_counts(spec: VoxelSpec) -> list[int]:
+    """f-vector of from_voxels(spec), counted without building a poset.
+
+    A face with free-axis mask m and minimal corner w lies in the cube at
+    c when w agrees with c on the free axes and w_i is c_i or c_i + 1 on
+    each fixed axis i. So the corners of the faces with mask m are the
+    cube corners spread by +1 along every fixed axis. Corners are bits of
+    one int over the vertex lattice of the translated spec; an axis whose
+    cube corners span 0..s gets radix s + 2, so vertex coordinate s + 1
+    still fits and a shift never carries into the next axis. The int has
+    the product of the radices as bits, so this suits dense specs such
+    as mine's side-4 grid (5^D bits), not a few cubes far apart.
+    """
+    D = spec.ambient_dim
+    axes = list(zip(*spec.corners))
+    strides = [1]  # strides[i] is axis i's place value; the last is unused
+    for axis in axes:
+        strides.append(strides[-1] * (max(axis) - min(axis) + 2))
+    origin = sum(min(axis) * s for axis, s in zip(axes, strides))
+    cells = 0
+    for c in spec.corners:
+        bit = -origin
+        for x, s in zip(c, strides):
+            bit += x * s
+        cells |= 1 << bit
+    # spread[fixed] is the set of face corners when the axes in `fixed`
+    # are fixed; each set extends the one without its lowest axis
+    spread = [cells]
+    for fixed in range(1, 1 << D):
+        lowest = fixed & -fixed
+        prev = spread[fixed ^ lowest]
+        spread.append(prev | prev << strides[lowest.bit_length() - 1])
+    f = [0] * (D + 1)
+    for fixed, corners in enumerate(spread):
+        f[D - fixed.bit_count()] += corners.bit_count()
+    return f
 
 
 def gen_cube(d: int) -> CubicalComplex:

@@ -7,6 +7,7 @@ cubes and cube boundaries up to d=4, single voxels, a 2-edge path, a
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -33,6 +34,12 @@ def default_corpus() -> list[tuple[str, CubicalComplex]]:
 GRID_SIDE = 4
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_cells(dim: int) -> tuple[tuple[int, ...], ...]:
+    """Corners of the side-4 grid's cells in lexicographic order."""
+    return tuple(itertools.product(range(GRID_SIDE), repeat=dim))
+
+
 def bernoulli_voxel_spec(rng: random.Random, dim: int) -> VoxelSpec:
     """One draw of the random voxel model.
 
@@ -42,7 +49,7 @@ def bernoulli_voxel_spec(rng: random.Random, dim: int) -> VoxelSpec:
     always a nonempty complex; everything is deterministic given the
     generator state.
     """
-    cells = list(itertools.product(range(GRID_SIDE), repeat=dim))
+    cells = _grid_cells(dim)
     while True:
         corners = tuple(c for c in cells if rng.getrandbits(1))
         if corners:

@@ -172,10 +172,6 @@ class RatPoly:
             parts.append(str(c) if i == 0 else f"{c}*x^{i}" if i > 1 else f"{c}*x")
         return " + ".join(parts) if parts else "0"
 
-    def json_coeffs(self) -> list:
-        """Coefficients as rational strings in lowest terms, for JSON."""
-        return [str(Fraction(c)) for c in self.coeffs]
-
     def __repr__(self):
         return f"RatPoly({list(self.coeffs)!r})"
 

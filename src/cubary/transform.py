@@ -46,9 +46,6 @@ class CoeffMatrix:
             out.append(s)
         return tuple(out)
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def to_json_obj(self) -> dict:
         return {
             "kind": self.kind,

@@ -2,15 +2,17 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: interval counting goes through the generic order relation only,
-and the short h-vector oracle expands the defining polynomial sum by
-plain convolution instead of the binomial closed form.
+voxel faces are counted as a set of (free axes, corner) pairs, and the
+short h-vector oracle expands the defining polynomial sum by plain
+convolution instead of the binomial closed form.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from cubary import CubicalComplex, FVector
+from cubary import CubicalComplex, FVector, VoxelSpec
 from cubary.corpus import default_corpus
 
 
@@ -50,6 +52,24 @@ def brute_force_interval_fvector(K: CubicalComplex) -> tuple[int, ...]:
             if K.leq(a, b):
                 counts[K.dims[b] - K.dims[a]] += 1
     return tuple(counts)
+
+
+def voxel_face_set_fvector(spec: VoxelSpec) -> list[int]:
+    """f-vector of a voxel complex as a set of (free axes, corner) faces.
+
+    Lists every face of every cube and lets a set merge the shared ones;
+    builds no poset and shifts no bits.
+    """
+    dim = spec.ambient_dim
+    faces = set()
+    for c in spec.corners:
+        for free in itertools.product((False, True), repeat=dim):
+            ends = [(x,) if free[i] else (x, x + 1) for i, x in enumerate(c)]
+            faces.update((free, w) for w in itertools.product(*ends))
+    f = [0] * (dim + 1)
+    for free, _ in faces:
+        f[sum(free)] += 1
+    return f
 
 
 def _convolve(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:

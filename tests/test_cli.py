@@ -15,6 +15,7 @@ from cubary import (
     ShortHVector,
     euler_reduced,
     f_vector,
+    from_voxels,
     gen_cube,
     gen_cube_boundary,
     hc_from_hsc,
@@ -380,6 +381,35 @@ class TestMine:
         last = json.loads(out.strip().splitlines()[-1])
         assert last["type"] == "summary"
         assert last["trials"] == 10 and last["seed"] == 1
+
+    @pytest.mark.parametrize(
+        "target,dim,trials,seed,findings",
+        [("realroot", 2, 200, 4, 1), ("unimodality", 2, 200, 7, 0),
+         ("realroot", 3, 30, 10, 0), ("unimodality", 1, 50, 12, 0)],
+    )
+    def test_output_matches_the_poset_count(
+        self, cli, monkeypatch, target, dim, trials, seed, findings
+    ):
+        argv = ["mine", "--target", target, "--dim", str(dim), "--trials", str(trials),
+                "--seed", str(seed)]
+        code, out, _ = cli(argv)
+        assert code == 0
+        assert len(out.splitlines()) == findings + 1
+        monkeypatch.setattr(
+            "cubary.cli._voxel_f_counts", lambda spec: f_vector(from_voxels(spec)).entries
+        )
+        assert cli(argv) == (0, out, "")
+
+    def test_dim_6_builds_no_poset(self, cli):
+        # one trial took about 16 s when each draw was built as a complex
+        start = time.perf_counter()
+        code, out, _ = cli(
+            ["mine", "--target", "realroot", "--dim", "6", "--trials", "20", "--seed", "0"]
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["type"] == "summary"
+        assert elapsed < 5
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_range_enforced(self, cli, seed):

@@ -77,14 +77,6 @@ class TestRatPoly:
         with pytest.raises(ValueError):
             RatPoly((1, 1, 1)).padded(2)
 
-    def test_json_coeffs(self):
-        assert RatPoly((Fraction(1, 2), -2, 0, 3)).json_coeffs() == [
-            "1/2",
-            "-2",
-            "0",
-            "3",
-        ]
-
     @given(small_polys, small_polys, rationals)
     @settings(max_examples=150, derandomize=True)
     def test_product_evaluates_pointwise(self, p, q, t):
