@@ -94,11 +94,15 @@ class CubicalComplex:
         sorted by (dim, key) and covers renumbered to match. Every builder
         of a complex ends here.
         """
-        order = sorted(range(len(keys)), key=lambda i: (dims[i], keys[i]))
-        new_id = {old: i for i, old in enumerate(order)}
+        # two stable sorts, so no (dim, key) tuple is built per face
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        order.sort(key=dims.__getitem__)
+        new_id = [0] * len(order)
+        for i, old in enumerate(order):
+            new_id[old] = i
         return cls(
             [dims[i] for i in order],
-            [[new_id[c] for c in covered[i]] for i in order],
+            [frozenset(map(new_id.__getitem__, covered[i])) for i in order],
             [keys[i] for i in order],
         )
 
@@ -212,15 +216,19 @@ class CubicalComplex:
         for validate(). Ids and dims must be JSON integers, not floats or
         booleans; covered must be a list of ids and key a string.
         """
+        ids, dims, covered, keys = [], [], [], []
         try:
             declared = obj["dim"]
-            raw = obj["faces"]
-            table = [(f["id"], f["dim"], f["covered"], f["key"]) for f in raw]
+            for f in obj["faces"]:
+                ids.append(f["id"])
+                dims.append(f["dim"])
+                covered.append(f["covered"])
+                keys.append(f["key"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed complex JSON: {exc}") from exc
         if type(declared) is not int:
             raise ValueError(f"malformed complex JSON: dim must be an integer, got {declared!r}")
-        for fid, dim, cov, key in table:
+        for fid, dim, cov, key in zip(ids, dims, covered, keys):
             if type(fid) is not int or type(dim) is not int:
                 raise ValueError(
                     f"malformed complex JSON: face id and dim must be integers, "
@@ -235,21 +243,27 @@ class CubicalComplex:
                 raise ValueError(
                     f"malformed complex JSON: face {fid} key must be a string, got {key!r}"
                 )
-        if not table:
+        n = len(ids)
+        if not n:
             raise ValueError("empty complexes are not supported")
-        rows = sorted(table, key=lambda t: t[0])
-        if [t[0] for t in rows] != list(range(len(rows))):
-            raise ValueError("face ids must be exactly 0..N-1")
+        # row[fid] is the list position of face fid
+        row = [None] * n
+        for r, fid in enumerate(ids):
+            if not 0 <= fid < n or row[fid] is not None:
+                raise ValueError("face ids must be exactly 0..N-1")
+            row[fid] = r
         seen = set()
-        for fid, dim, cov, key in table:
+        for fid, cov, key in zip(ids, covered, keys):
             for c in cov:
-                if not 0 <= c < len(rows):
+                if not 0 <= c < n:
                     raise ValueError(f"face {fid} covers unknown id {c}")
             if key in seen:
                 raise ValueError(f"duplicate key {key!r}")
             seen.add(key)
-        _, dims, covered, keys = zip(*rows)
-        K = cls._from_table(dims, covered, keys)
+        del seen  # the build below sets decode's peak memory
+        K = cls._from_table(
+            [dims[r] for r in row], [covered[r] for r in row], [keys[r] for r in row]
+        )
         if K.dim != declared:
             raise ValueError(f"declared dim {declared} != max face dim {K.dim}")
         return K

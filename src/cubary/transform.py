@@ -12,10 +12,11 @@ independent formulations before anything is returned.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .face_vectors import FVector, LongHVector, ShortHVector, hsc_from_hc
@@ -34,16 +35,36 @@ class CoeffMatrix:
     def size(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The entries' common denominator and the entries times it."""
+        den = math.lcm(*(e.denominator for row in self.entries for e in row))
+        rows = tuple(
+            tuple(e.numerator * (den // e.denominator) for e in row) for row in self.entries
+        )
+        return den, rows
+
     def apply(self, vec) -> tuple[Scalar, ...]:
-        """Matrix-vector product over exact rationals."""
+        """Matrix-vector product over exact rationals: an int where the
+        entry is integral, a Fraction otherwise.
+
+        The vector's denominators are cleared too, so each entry is one
+        integer dot product and one exact division.
+        """
         if len(vec) != self.size:
             raise ValueError(f"vector length {len(vec)} != {self.size}")
+        try:
+            vden = math.lcm(*(x.denominator for x in vec))
+        except AttributeError:
+            raise TypeError("apply needs int or Fraction entries") from None
+        xs = [x.numerator * (vden // x.denominator) for x in vec]
+        den, rows = self._scaled
+        den *= vden
         out = []
-        for row in self.entries:
-            s = sum(a * x for a, x in zip(row, vec))
-            if isinstance(s, Fraction) and s.denominator == 1:
-                s = int(s)
-            out.append(s)
+        for row in rows:
+            s = sum(map(operator.mul, row, xs))
+            q, r = divmod(s, den)
+            out.append(Fraction(s, den) if r else q)
         return tuple(out)
 
     def to_json_obj(self) -> dict:

@@ -1,10 +1,15 @@
-"""The seed's string-keyed complex builders, kept as a test oracle.
+"""The seed's string-keyed complex builders and JSON decoder, kept as
+test oracles.
 
 Each builder here writes a ``{key: (dim, [covered keys])}`` table and
 canonicalizes it with the seed's ``from_keyed_faces``, copied below so
 the oracle shares no construction code with ``cubary``. ``cubary``
 replaced them with builders that index faces by integer tuples and
 render every key once; the two must produce byte-identical ``to_json()``.
+``from_json_obj_oracle`` is the decoder as it was before it read the
+faces into four columns instead of a table of 4-tuples and a sorted
+copy; it must accept the same objects and refuse the others with the
+same message.
 """
 
 from cubary import CubicalComplex, VoxelSpec
@@ -105,3 +110,54 @@ def subdivide_oracle(K: CubicalComplex) -> CubicalComplex:
             cov += [ikey(f, g2) for g2 in K.covered[g] if f in lower[g2]]
             faces[ikey(f, g)] = (K.dims[g] - K.dims[f], cov)
     return from_keyed_faces_oracle(faces)
+
+
+def from_json_obj_oracle(obj) -> CubicalComplex:
+    """Ingest the JSON format, re-canonicalizing ids."""
+    try:
+        declared = obj["dim"]
+        raw = obj["faces"]
+        table = [(f["id"], f["dim"], f["covered"], f["key"]) for f in raw]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed complex JSON: {exc}") from exc
+    if type(declared) is not int:
+        raise ValueError(f"malformed complex JSON: dim must be an integer, got {declared!r}")
+    for fid, dim, cov, key in table:
+        if type(fid) is not int or type(dim) is not int:
+            raise ValueError(
+                f"malformed complex JSON: face id and dim must be integers, "
+                f"got id {fid!r} and dim {dim!r}"
+            )
+        if type(cov) is not list or not all(type(c) is int for c in cov):
+            raise ValueError(
+                f"malformed complex JSON: face {fid} covered must be a list "
+                f"of integer ids, got {cov!r}"
+            )
+        if type(key) is not str:
+            raise ValueError(
+                f"malformed complex JSON: face {fid} key must be a string, got {key!r}"
+            )
+    if not table:
+        raise ValueError("empty complexes are not supported")
+    rows = sorted(table, key=lambda t: t[0])
+    if [t[0] for t in rows] != list(range(len(rows))):
+        raise ValueError("face ids must be exactly 0..N-1")
+    seen = set()
+    for fid, dim, cov, key in table:
+        for c in cov:
+            if not 0 <= c < len(rows):
+                raise ValueError(f"face {fid} covers unknown id {c}")
+        if key in seen:
+            raise ValueError(f"duplicate key {key!r}")
+        seen.add(key)
+    _, dims, covered, keys = zip(*rows)
+    order = sorted(range(len(keys)), key=lambda i: (dims[i], keys[i]))
+    new_id = {old: i for i, old in enumerate(order)}
+    K = CubicalComplex(
+        [dims[i] for i in order],
+        [[new_id[c] for c in covered[i]] for i in order],
+        [keys[i] for i in order],
+    )
+    if K.dim != declared:
+        raise ValueError(f"declared dim {declared} != max face dim {K.dim}")
+    return K

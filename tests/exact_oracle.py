@@ -1,14 +1,16 @@
 """The seed's trial-division root search, Fraction-evaluated C-matrix
-cross-check and term-by-term alternating sums, kept as test oracles.
+cross-check, term-by-term alternating sums and Fraction matrix-vector
+product, kept as test oracles.
 
 ``cubary.rational_roots`` replaced the divisor search with Sturm
 isolation and bisection over integers, ``_check_c_bivariate`` now
-evaluates both sides with integer Horner, and ``_c_alternating_sums``
-runs the recursion its sums satisfy. The oracles below are the seed's
-code, unchanged but for their names; they take time exponential in the
-coefficient bit size (roots), rebuild every power as a ``Fraction``
-(bivariate check) or take O(d^3) additions (alternating sums), so tests
-feed them small inputs only.
+evaluates both sides with integer Horner, ``_c_alternating_sums`` runs
+the recursion its sums satisfy, and ``CoeffMatrix.apply`` multiplies by
+integer-scaled rows with one exact division per entry. The oracles below
+are the seed's code, unchanged but for their names; they take time
+exponential in the coefficient bit size (roots), rebuild every power as a
+``Fraction`` (bivariate check) or take O(d^3) additions (alternating
+sums), so tests feed them small inputs only.
 """
 
 import math
@@ -107,3 +109,16 @@ def c_alternating_sums_oracle(d: int) -> tuple:
             row.append(int(s) if isinstance(s, Fraction) and s.denominator == 1 else s)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def apply_oracle(M, vec) -> tuple:
+    """Matrix-vector product over exact rationals."""
+    if len(vec) != M.size:
+        raise ValueError(f"vector length {len(vec)} != {M.size}")
+    out = []
+    for row in M.entries:
+        s = sum(a * x for a, x in zip(row, vec))
+        if isinstance(s, Fraction) and s.denominator == 1:
+            s = int(s)
+        out.append(s)
+    return tuple(out)

@@ -5,19 +5,32 @@ must give byte-identical ``to_json()`` to the builders kept in
 ``builder_oracle.py``: on the default corpus, its first and second
 subdivisions, fixed-seed random voxel complexes and hypothesis-drawn
 voxel specs. ``from_keyed_faces`` must match the seed's version on
-keyed tables given in shuffled order.
+keyed tables given in shuffled order. ``from_json_obj`` must match the
+seed's decoder on complexes whose faces come in shuffled order, and on
+objects with up to three defects it must fail with the same message: the
+first bad face in list order wins.
 """
 
+import copy
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubary import CubicalComplex, VoxelSpec, from_voxels, subdivide
+from cubary import (
+    CubicalComplex,
+    VoxelSpec,
+    from_voxels,
+    gen_cube,
+    gen_cube_boundary,
+    subdivide,
+)
 from cubary import corpus as corpus_mod
 from cubary.corpus import random_voxel_complexes
 from builder_oracle import (
+    from_json_obj_oracle,
     from_keyed_faces_oracle,
     from_voxels_oracle,
     gen_cube_boundary_oracle,
@@ -78,3 +91,81 @@ def test_from_keyed_faces_matches(corpus, non_cube_square):
         faces = dict(table)
         got = CubicalComplex.from_keyed_faces(faces).to_json()
         assert got == from_keyed_faces_oracle(faces).to_json(), name
+
+
+def _decoded(decode, obj):
+    try:
+        return decode(obj).to_json()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_json_decode_matches(corpus):
+    rng = random.Random(2011)
+    for name, K in corpus:
+        for _ in range(3):
+            obj = json.loads(subdivide(K).to_json())
+            rng.shuffle(obj["faces"])
+            got = _decoded(CubicalComplex.from_json_obj, obj)
+            assert got == _decoded(from_json_obj_oracle, obj) == subdivide(K).to_json(), name
+
+
+JSON_BASES = [json.loads(K.to_json()) for K in (gen_cube(2), gen_cube_boundary(3))]
+FIELDS = ["id", "dim", "covered", "key"]
+
+
+@st.composite
+def defective_json(draw):
+    obj = copy.deepcopy(draw(st.sampled_from(JSON_BASES)))
+    faces = obj["faces"]
+    draw(st.randoms(use_true_random=False)).shuffle(faces)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["set", "drop_field", "drop_face", "dup_face", "add_cover", "top_dim"]
+        ))
+        if kind == "top_dim":
+            obj["dim"] = draw(st.integers(-1, 4) | st.none() | st.text(max_size=2))
+        elif kind == "drop_face" and len(faces) > 1:
+            # later ids move down one, unless the ids were already broken
+            gone = faces.pop(draw(st.integers(0, len(faces) - 1))).get("id")
+            for face in faces:
+                if type(face.get("id")) is int and type(gone) is int and face["id"] > gone:
+                    face["id"] -= 1
+        elif kind == "dup_face":
+            face = dict(draw(st.sampled_from(faces)))
+            if draw(st.booleans()):  # keep the ids 0..N-1, repeat the key
+                face["id"] = len(faces)
+            faces.append(face)
+        elif kind == "add_cover":
+            face = draw(st.sampled_from(faces))
+            if type(face.get("covered")) is list:
+                face["covered"] = face["covered"] + [draw(st.integers(-2, len(faces) + 1))]
+        else:
+            face = draw(st.sampled_from(faces))
+            field = draw(st.sampled_from(FIELDS))
+            if kind == "drop_field":
+                face.pop(field, None)
+            else:
+                face[field] = draw(
+                    st.integers(-2, len(faces) + 1)
+                    | st.lists(st.integers(-1, len(faces)), max_size=4)
+                    | st.text(max_size=2)
+                    | st.booleans()
+                    | st.none()
+                )
+    return obj
+
+
+def _two_defects_in_one_face():
+    """A copy of the last face under a fresh id, covering an unknown id."""
+    obj = copy.deepcopy(JSON_BASES[0])
+    n = len(obj["faces"])
+    obj["faces"].append(dict(obj["faces"][-1], id=n, covered=[n + 3]))
+    return obj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(obj=defective_json())
+@example(obj=_two_defects_in_one_face())
+def test_json_decode_fails_like_the_seed(obj):
+    assert _decoded(CubicalComplex.from_json_obj, obj) == _decoded(from_json_obj_oracle, obj)

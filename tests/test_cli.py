@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,8 +12,12 @@ import pytest
 
 from cubary import (
     CubicalComplex,
+    FVector,
     LongHVector,
+    RatPoly,
     ShortHVector,
+    b_matrix,
+    c_matrix,
     euler_reduced,
     f_vector,
     from_voxels,
@@ -24,11 +29,16 @@ from cubary import (
     hsc_from_f,
     hsc_of_subdivision,
     hsc_poly_of_iterate,
+    is_real_rooted,
     limit_distance_hc,
     limit_distance_hsc,
     shape_predicates,
 )
+from cubary import cli as cli_mod
 from cubary.cli import main
+from cubary.complex_core import _voxel_f_counts
+from cubary.corpus import bernoulli_voxel_spec
+from exact_oracle import apply_oracle
 
 
 @pytest.fixture()
@@ -361,7 +371,76 @@ class TestLimit:
         assert rows[2]["distance_decimal"] == "0.25"
 
 
+def mine_reference(target: str, dim: int, trials: int, seed: int) -> str:
+    """mine's stdout from the loop it ran before verdicts were cached: every
+    draw evaluated afresh, the B or C matrix applied by the Fraction oracle."""
+    rng = random.Random(seed)
+    lines, findings = [], 0
+    for trial in range(trials):
+        spec = bernoulli_voxel_spec(rng, dim)
+        f = FVector(_voxel_f_counts(spec))
+        hsc = hsc_from_f(f)
+        if target == "unimodality":
+            vec = hsc.entries
+            if not all(x >= 0 for x in vec):
+                continue
+            out = apply_oracle(b_matrix(f.d), vec)
+            ok = shape_predicates(out)["unimodal"]
+        else:
+            vec = hc_from_hsc(hsc).entries
+            if not all(x >= 0 for x in vec):
+                continue
+            out = apply_oracle(c_matrix(f.d), vec)
+            ok = is_real_rooted(RatPoly(out))
+        if not ok:
+            findings += 1
+            lines.append({
+                "type": "finding", "trial": trial, "target": target, "dim": dim,
+                "corners": [list(c) for c in spec.corners], "f": list(f.entries),
+                "vector": [str(x) for x in vec], "subdivided_vector": [str(x) for x in out],
+            })
+    lines.append({"type": "summary", "target": target, "dim": dim, "trials": trials,
+                  "seed": seed, "findings": findings})
+    return "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)
+
+
 class TestMine:
+    @pytest.mark.parametrize("target", ["unimodality", "realroot"])
+    @pytest.mark.parametrize("dim,trials", [(1, 200), (2, 500), (3, 100), (4, 20)])
+    def test_output_matches_the_uncached_loop(self, cli, target, dim, trials):
+        # seeds 4, 7 and 8 give realroot findings at dim 2
+        for seed in (0, 4, 7, 8):
+            argv = ["mine", "--target", target, "--dim", str(dim), "--trials", str(trials),
+                    "--seed", str(seed)]
+            assert cli(argv) == (0, mine_reference(target, dim, trials, seed), "")
+
+    def test_findings_are_covered(self):
+        lines = mine_reference("realroot", 2, 500, 4).splitlines()
+        assert len(lines) == 3 and json.loads(lines[0])["type"] == "finding"
+
+    def test_each_f_vector_is_evaluated_once(self, cli, monkeypatch):
+        evaluated = []
+
+        def counting(target, f):
+            evaluated.append(f)
+            return real(target, f)
+
+        real = cli_mod._evaluate
+        monkeypatch.setattr(cli_mod, "_evaluate", counting)
+        argv = ["mine", "--target", "realroot", "--dim", "2", "--trials", "1000", "--seed", "7"]
+        assert cli(argv)[0] == 0
+        rng = random.Random(7)
+        distinct = {tuple(_voxel_f_counts(bernoulli_voxel_spec(rng, 2))) for _ in range(1000)}
+        assert len(distinct) < 1000
+        assert sorted(evaluated) == sorted(distinct)
+
+    def test_dim_8_runs(self, cli):
+        # refused while the budget counted the grid's 9^8 faces
+        code, out, _ = cli(["mine", "--target", "realroot", "--dim", "8", "--trials", "2",
+                            "--seed", "0"])
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["trials"] == 2
+
     def test_deterministic(self, cli):
         argv = [
             "mine", "--target", "unimodality", "--dim", "2",
@@ -571,10 +650,10 @@ FAILURES = [
      "--cube-boundary 15 projects 3^15 - 1 faces, exceeding the face budget of 10000000"),
     ("budget-voxels", ["gen", "--voxels", "{tmp}/dim16.txt"], "", None, 3,
      "--voxels dim 16 projects 3^16 faces, exceeding the face budget of 10000000"),
-    ("budget-mine", [*MINE, "--dim", "8", "--seed", "0"], "", None, 3,
-     "--dim 8 projects 9^8 faces, exceeding the face budget of 10000000"),
+    ("budget-mine", [*MINE, "--dim", "10", "--seed", "0"], "", None, 3,
+     "--dim 10 projects 10^10 bits, exceeding the bit budget of 1000000000"),
     ("budget-mine-2^64", [*MINE, "--dim", str(2**64), "--seed", "0"], "", None, 3,
-     f"--dim {2**64} projects 9^{2**64} faces, exceeding the face budget of 10000000"),
+     f"--dim {2**64} projects 10^{2**64} bits, exceeding the bit budget of 1000000000"),
     ("cross-check", ["coeffs", "--matrix", "C", "-d", "3"], "", ("c_matrix", _synthetic_mismatch), 4,
      "cross-check failure: synthetic mismatch"),
     ("verify", ["verify", "--suite", "fvec", "--corpus", "default"], "",

@@ -7,11 +7,17 @@ Both bivariate checks must accept ``c_matrix`` for d = 1..20 and reject,
 with the same message, a single perturbed entry and two swapped columns.
 The alternating sums over B must equal the oracle's, entry and type, for
 d = 1..30, and ``c_matrix`` must refuse a B that disagrees with them.
-The last tests guard the inputs on which the seed's routines hung.
+``CoeffMatrix.apply`` must equal the Fraction product, entry and type, for
+B(d) and C(d) at d = 1..30 on int, Fraction and mixed vectors (fixed seed
+and hypothesis), and the transforms must warn exactly when that product
+has a Fraction. The last tests guard the inputs on which the seed's
+routines hung.
 """
 
+import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -19,11 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubary import (
+    LongHVector,
     RatPoly,
     ShortHVector,
+    b_matrix,
     c_matrix,
     f_vector,
+    hc_of_subdivision,
     hsc_from_f,
+    hsc_of_subdivision,
     hsc_poly_of_iterate,
     rational_roots,
 )
@@ -31,6 +41,7 @@ from cubary import transform
 from cubary.cli import main
 from cubary.corpus import random_voxel_complexes
 from exact_oracle import (
+    apply_oracle,
     c_alternating_sums_oracle,
     check_c_bivariate_oracle,
     rational_roots_oracle,
@@ -167,6 +178,72 @@ class TestAlternatingSums:
                 c_matrix(d)
         finally:
             transform.c_matrix.cache_clear()
+
+
+def _matrix(kind: str, d: int):
+    return b_matrix(d) if kind == "B" else c_matrix(d)
+
+
+def apply_input(randint, kind: str, d: int) -> list:
+    """A vector for B(d) or C(d), each size drawn by randint(lo, hi).
+
+    Ints, Fractions or a mix; one draw in three is an int vector times the
+    matrix's common denominator, whose image is integral. A C(d) input
+    starts with 2^(d-1), as a long h-vector must.
+    """
+    M = _matrix(kind, d)
+    flavour = randint(0, 2)
+    if flavour == 0:
+        den = math.lcm(*(e.denominator for row in M.entries for e in row))
+        vec = [den * randint(-9, 9) for _ in range(M.size)]
+    else:
+        vec = [randint(-40, 40) for _ in range(M.size)]
+        if flavour == 2:
+            vec = [Fraction(x, randint(1, 6)) if randint(0, 1) else x for x in vec]
+    if kind == "C":
+        vec[0] = 2 ** (d - 1)
+    return vec
+
+
+def _apply_agrees(kind: str, d: int, vec: list) -> None:
+    M = _matrix(kind, d)
+    want = apply_oracle(M, vec)
+    for got in (M.apply(vec), M.apply(tuple(vec))):
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+    wrap, transform_h = (
+        (ShortHVector, hsc_of_subdivision) if kind == "B" else (LongHVector, hc_of_subdivision)
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = transform_h(wrap(vec))
+    assert out.entries == want
+    fractional = any(type(x) is Fraction for x in want)
+    assert [(w.category, "non-integer entries" in str(w.message)) for w in caught] == (
+        [(RuntimeWarning, True)] if fractional else []
+    )
+
+
+class TestApply:
+    @pytest.mark.parametrize("d", range(1, 31))
+    @pytest.mark.parametrize("kind", ["B", "C"])
+    def test_fixed_seed(self, kind, d):
+        rng = random.Random(1000 * d + ord(kind))
+        for _ in range(12):
+            _apply_agrees(kind, d, apply_input(rng.randint, kind, d))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_hypothesis(self, data):
+        kind = data.draw(st.sampled_from("BC"))
+        d = data.draw(st.integers(1, 30))
+        _apply_agrees(kind, d, apply_input(lambda lo, hi: data.draw(st.integers(lo, hi)), kind, d))
+
+    def test_rejects_floats_and_wrong_lengths(self):
+        with pytest.raises(TypeError):
+            b_matrix(2).apply((1.0, 2))
+        with pytest.raises(ValueError):
+            c_matrix(2).apply((2, 1))
 
 
 class TestFormerHangs:
