@@ -13,18 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complex_core import CubicalComplex
-from .polytools import RatPoly, Scalar
-
-
-def _exact_entries(entries) -> tuple:
-    out = []
-    for x in entries:
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = int(x)
-        if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
-            raise TypeError(f"vector entries must be exact, got {type(x).__name__}")
-        out.append(x)
-    return tuple(out)
+from .polytools import RatPoly, Scalar, _exact
 
 
 @dataclass(frozen=True)
@@ -38,7 +27,7 @@ class FVector:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("f-vector must have length >= 1")
-        if any(not isinstance(x, int) or x < 0 for x in entries):
+        if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in entries):
             raise ValueError("f-vector entries must be nonnegative integers")
         if entries[-1] < 1:
             raise ValueError("top face count f_{d-1} must be positive")
@@ -63,7 +52,7 @@ class ShortHVector:
     entries: tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _exact_entries(self.entries))
+        object.__setattr__(self, "entries", tuple(map(_exact, self.entries)))
         if not self.entries:
             raise ValueError("short h-vector must have length >= 1")
 
@@ -82,7 +71,7 @@ class LongHVector:
     entries: tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _exact_entries(self.entries))
+        object.__setattr__(self, "entries", tuple(map(_exact, self.entries)))
         if len(self.entries) < 2:
             raise ValueError("long h-vector must have length >= 2")
         if self.entries[0] != 2 ** (self.d - 1):
@@ -180,17 +169,18 @@ def euler_reduced(f: FVector) -> int:
 def check_long_short_identity(f: FVector) -> bool:
     """Verify (1+x) h^c(x) = 2^(d-1) + x h^sc(x) + 2^(d-1) (-x)^(d+1) chi~
     as exact polynomials, with every quantity derived from f."""
-    d = f.d
     hsc = hsc_from_f(f)
-    hc = hc_from_hsc(hsc)
-    chi = euler_reduced(f)
-    lhs = RatPoly((1, 1)) * hc.polynomial()
-    rhs = (
+    lhs = RatPoly((1, 1)) * hc_from_hsc(hsc).polynomial()
+    return lhs == _long_short_rhs(f.d, hsc.polynomial(), euler_reduced(f))
+
+
+def _long_short_rhs(d: int, hsc: RatPoly, chi: int) -> RatPoly:
+    """2^(d-1) + x h^sc(x) + 2^(d-1) (-x)^(d+1) chi~, which is (1+x) h^c(x)."""
+    return (
         RatPoly((2 ** (d - 1),))
-        + RatPoly.x() * hsc.polynomial()
+        + RatPoly.x() * hsc
         + 2 ** (d - 1) * chi * RatPoly((0, -1)) ** (d + 1)
     )
-    return lhs == rhs
 
 
 def summary(K: CubicalComplex) -> dict:

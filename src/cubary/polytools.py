@@ -16,9 +16,7 @@ Scalar = Union[int, Fraction]
 
 def _exact(x) -> Scalar:
     """Coerce to int or Fraction; integral Fractions become ints."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a polynomial coefficient")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
@@ -92,9 +90,6 @@ class RatPoly:
     def __sub__(self, other):
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RatPoly(c * other for c in self.coeffs)
@@ -139,9 +134,6 @@ class RatPoly:
             for j, b in enumerate(other.coeffs):
                 rem[j + k] -= q * b
         return RatPoly(quot), RatPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -307,10 +299,15 @@ def rational_roots(p: RatPoly) -> list[Fraction]:
     return sorted(roots)
 
 
+def _cleared(xs: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """The least common denominator of xs, and each x times it."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 def _primitive(coeffs: Sequence[Scalar]) -> list[int]:
     """Integer coefficients of a positive rational multiple with content 1."""
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    ints = _cleared(coeffs)[1]
     g = math.gcd(*ints)
     return [c // g for c in ints]
 

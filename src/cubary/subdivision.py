@@ -100,13 +100,3 @@ def subdivide_n(
             raise FaceBudgetExceeded(step, f, face_budget, max_key)
         K = subdivide(K)
     return K
-
-
-def projected_f_after(K: CubicalComplex, n: int) -> FVector:
-    """f-vector of the n-fold subdivision, by projection only."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    f = f_vector(K)
-    for _ in range(n):
-        f = f_of_subdivision(f)
-    return f

@@ -11,16 +11,16 @@ independent formulations before anything is returned.
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import comb
 
-from .face_vectors import FVector, LongHVector, ShortHVector, hsc_from_hc
-from .polytools import RatPoly, Scalar, _exact, mobius_transform
+from .face_vectors import FVector, LongHVector, ShortHVector, _long_short_rhs, hsc_from_hc
+from .polytools import RatPoly, Scalar, _cleared, _exact, mobius_transform
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,9 @@ class CoeffMatrix:
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The entries' common denominator and the entries times it."""
-        den = math.lcm(*(e.denominator for row in self.entries for e in row))
-        rows = tuple(
-            tuple(e.numerator * (den // e.denominator) for e in row) for row in self.entries
-        )
-        return den, rows
+        den, flat = _cleared([e for row in self.entries for e in row])
+        it = iter(flat)
+        return den, tuple(tuple(islice(it, len(row))) for row in self.entries)
 
     def apply(self, vec) -> tuple[Scalar, ...]:
         """Matrix-vector product over exact rationals: an int where the
@@ -54,10 +52,9 @@ class CoeffMatrix:
         if len(vec) != self.size:
             raise ValueError(f"vector length {len(vec)} != {self.size}")
         try:
-            vden = math.lcm(*(x.denominator for x in vec))
+            vden, xs = _cleared(vec)
         except AttributeError:
             raise TypeError("apply needs int or Fraction entries") from None
-        xs = [x.numerator * (vden // x.denominator) for x in vec]
         den, rows = self._scaled
         den *= vden
         out = []
@@ -163,8 +160,8 @@ def _check_c_bivariate(d: int, entries: tuple) -> None:
     and the two sides are compared cross-multiplied, so the time is
     polynomial in d.
     """
-    den = math.lcm(*(e.denominator for row in entries for e in row))
-    rows = [RatPoly(e.numerator * (den // e.denominator) for e in row) for row in entries]
+    den, rows = CoeffMatrix("C", d, entries)._scaled
+    rows = [RatPoly(row) for row in rows]
     # at_y[y][i] = den * sum_j C[i][j] y^j, so den * lhs is a polynomial in x
     at_y = {y: RatPoly(row(y) for row in rows) for y in range(2, d + 4)}
     for x in range(1, d + 4):
@@ -279,12 +276,7 @@ def limit_distance_hc(h: LongHVector, f_top: int, euler: int, n: int) -> Fractio
 
 def hc_poly_of_iterate(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
     """Long h-polynomial after n subdivisions, from the short iterate."""
-    d = hsc.d
-    rhs = (
-        RatPoly((2 ** (d - 1),))
-        + RatPoly.x() * hsc_poly_of_iterate(hsc, n)
-        + 2 ** (d - 1) * euler * RatPoly((0, -1)) ** (d + 1)
-    )
+    rhs = _long_short_rhs(hsc.d, hsc_poly_of_iterate(hsc, n), euler)
     return rhs.exact_div(RatPoly((1, 1)))
 
 

@@ -29,17 +29,6 @@ from .transform import (
     hsc_poly_of_iterate,
 )
 
-SUITES = (
-    "fvec",
-    "hsc",
-    "hc",
-    "euler",
-    "symmetry",
-    "realroot",
-    "identity",
-    "iterate",
-)
-
 
 class _Item:
     """One corpus entry with shared lazily-built derived data."""
@@ -203,6 +192,7 @@ _SUITE_FNS = {
     "identity": _suite_identity,
     "iterate": _suite_iterate,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suites(

@@ -632,6 +632,9 @@ FAILURES = [
     ("invalid-subdivide", ["subdivide", "-n", "1"], BAD_COMPLEX, None, 2,
      f"invalid complex: {BAD_VIOLATIONS}"),
     ("invalid-vectors", ["vectors"], BAD_COMPLEX, None, 2, f"invalid complex: {BAD_VIOLATIONS}"),
+    ("invalid-negative-dim", ["vectors"],
+     '{"dim":-1,"faces":[{"id":0,"dim":-1,"covered":[],"key":"a"}]}', None, 2,
+     "invalid complex: face 0 has negative dimension -1"),
     ("invalid-verify", ["verify", "--suite", "fvec"], BAD_COMPLEX, None, 2,
      f"invalid complex: {BAD_VIOLATIONS}"),
     ("invalid-limit", ["limit", "--max-n", "1"], BAD_COMPLEX, None, 2,

@@ -93,6 +93,10 @@ class TestVoxelSpec:
         with pytest.raises(ValueError):
             VoxelSpec(2, ((0, 0, 0),))
 
+    def test_zero_ambient_dim_rejected(self):
+        with pytest.raises(ValueError, match="ambient_dim must be >= 1"):
+            VoxelSpec(0, ((),))
+
     def test_parse_text(self):
         spec = parse_voxel_text("dim 2\n# a comment\n0 0\n\n1 0\n")
         assert spec == VoxelSpec(2, ((0, 0), (1, 0)))
@@ -145,6 +149,19 @@ class TestValidate:
         report = validate(K)
         assert not report.ok
         assert any("covers face" in v for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "table,violation",
+        [
+            (([0, 0], [[], []], ["b", "a"]), "faces are not in canonical (dim, key) order"),
+            (([-1], [[]], ["a"]), "face 0 has negative dimension -1"),
+        ],
+        ids=["non-canonical-order", "negative-dim"],
+    )
+    def test_table_violation_reported(self, table, violation):
+        report = validate(CubicalComplex(*table))
+        assert not report.ok
+        assert violation in report.violations
 
 
 class TestPosetOrder:
@@ -240,6 +257,23 @@ class TestSerialization:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CubicalComplex.from_json(json.dumps({"dim": 0, "faces": []}))
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            (([], [], []), "empty complexes are not supported"),
+            (([0, 0], [[]], ["a", "b"]), "inconsistent face table lengths"),
+            (([0, 0], [[], []], ["a", "a"]), "duplicate canonical keys"),
+        ],
+        ids=["empty", "lengths", "duplicate-keys"],
+    )
+    def test_constructor_rejects(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            CubicalComplex(*table)
+
+    def test_keyed_faces_reject_unknown_cover(self):
+        with pytest.raises(ValueError, match="face 'e' covers unknown face 'v'"):
+            CubicalComplex.from_keyed_faces({"e": (1, ["v"])})
 
     def test_complexes_are_immutable(self):
         K = gen_cube(1)

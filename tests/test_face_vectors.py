@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cubary import (
     FVector,
     LongHVector,
+    RatPoly,
     ShortHVector,
     VoxelSpec,
     check_long_short_identity,
@@ -38,6 +39,20 @@ class TestVectorTypes:
             FVector((2, -1, 1))
         with pytest.raises(ValueError):
             FVector((2, 0))
+
+    def test_fvector_rejects_bools(self):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            FVector((True, True))
+
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "build",
+        [RatPoly, ShortHVector, lambda v: LongHVector((1, *v))],
+        ids=["RatPoly", "ShortHVector", "LongHVector"],
+    )
+    def test_inexact_entries_rejected(self, build, bad):
+        with pytest.raises(TypeError, match=f"^expected int or Fraction, got {type(bad).__name__}$"):
+            build((bad,))
 
     def test_long_hvector_pins_leading_entry(self):
         LongHVector((4, 1, 2, 3))

@@ -10,7 +10,6 @@ from cubary import (
     gen_cube,
     gen_cube_boundary,
     mobius_transform,
-    projected_f_after,
     subdivide,
     subdivide_n,
     validate,
@@ -122,12 +121,15 @@ class TestSubdivideN:
     def test_default_budget_threshold_for_cube_boundary_3(self):
         # total faces after n rounds are 24 * 4^n + 2: the default budget
         # of 10^7 admits n = 9 (6,291,458 faces) and rejects n = 10
-        K = gen_cube_boundary(3)
+        f = f_vector(gen_cube_boundary(3))
+        totals = {}
+        for n in range(1, 12):
+            f = f_of_subdivision(f)
+            totals[n] = sum(f.entries)
         for n in (8, 9, 10, 11):
-            total = sum(projected_f_after(K, n).entries)
-            assert total == 24 * 4**n + 2
-        assert sum(projected_f_after(K, 9).entries) <= 10**7
-        assert sum(projected_f_after(K, 10).entries) > 10**7
+            assert totals[n] == 24 * 4**n + 2
+        assert totals[9] <= 10**7
+        assert totals[10] > 10**7
 
     def test_iterated_equals_nested(self):
         K = gen_cube_boundary(2)
