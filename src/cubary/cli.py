@@ -9,8 +9,10 @@ complex; 3 face or bit budget exceeded; 4 coefficient-matrix cross-check
 failure; 5 verification suite failure. Oversize input exits 3 before
 anything is built: gen --cube D and --cube-boundary D (3^D faces) and
 gen --voxels with a dim D line (one D-cube alone has 3^D faces) against
-the default face budget, and mine --dim D when a trial's 10^D bitset
-bits exceed 10^9, so mine takes D <= 9.
+the default face budget, mine --dim D when a trial's 10^D bitset bits
+exceed 10^9, so mine takes D <= 9, and limit --max-n N, before its
+first row, when a row's distance projects an integer over 4300 digits,
+which Python will not print.
 
 mine builds no complex: it counts each draw's faces from an occupancy
 bitset of its cells, and evaluates each distinct f-vector once. On a
@@ -41,6 +43,7 @@ from .face_vectors import FVector, euler_reduced, f_vector, hc_from_hsc, hsc_fro
 from .polytools import is_real_rooted, shape_predicates
 from .subdivision import DEFAULT_FACE_BUDGET, FaceBudgetExceeded, subdivide_n
 from .transform import (
+    _distance_bits,
     _distance_to_limit,
     b_matrix,
     c_matrix,
@@ -61,6 +64,11 @@ EXIT_VERIFY = 5
 # bits one mine trial may build: 10^9 admits --dim 9 (about 0.7 s and
 # 180 MB a trial) but not --dim 10, whose 10^10 bits are 1.25 GB
 MINE_BIT_BUDGET = 10**9
+
+# str() of an int over 4300 digits raises (Python's default
+# sys.get_int_max_str_digits); an int of at most (10**4300).bit_length() - 1
+# bits has at most 4300 digits, so every limit distance within it prints
+LIMIT_BIT_BUDGET = 14284
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,6 +202,13 @@ def cmd_limit(args) -> int:
         raise _Failure(EXIT_INPUT, "long h-vector limits need d >= 2")
     f_top = f.entries[-1]
     chi = euler_reduced(f)
+    bits = _distance_bits(hsc, f_top, chi, args.max_n)
+    if bits > LIMIT_BIT_BUDGET:
+        raise _Failure(
+            EXIT_BUDGET,
+            f"--max-n {args.max_n} projects distances of up to {bits} bits, "
+            f"exceeding the budget of {LIMIT_BIT_BUDGET} bits (4300 digits)",
+        )
     rows = []
     for n in range(args.max_n + 1):
         if args.which == "hsc":

@@ -10,26 +10,61 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
-@dataclass(frozen=True)
-class VoxelSpec:
+class _Record:
+    """Immutable value over the fields named in ``__match_args__``.
+
+    Gives what a frozen dataclass would, without importing dataclasses
+    (and with it inspect and ast) on every start: field-wise equality
+    within one class and a matching hash, a ``Name(field=value)`` repr,
+    and AttributeError on assignment and deletion. Subclasses set their
+    fields in ``__init__`` through ``object.__setattr__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+
+class VoxelSpec(_Record):
     """Unit-cube complex given by the minimal corners of its cubes."""
 
+    __match_args__ = ("ambient_dim", "corners")
     ambient_dim: int
     corners: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, corners: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "corners", corners)
+        if ambient_dim < 1:
             raise ValueError("ambient_dim must be >= 1")
-        if not self.corners:
+        if not corners:
             raise ValueError("voxel spec needs at least one corner")
-        for c in self.corners:
-            if len(c) != self.ambient_dim:
+        for c in corners:
+            if len(c) != ambient_dim:
                 raise ValueError(f"corner {c} has wrong length")
-        if len(set(self.corners)) != len(self.corners):
+        if len(set(corners)) != len(corners):
             raise ValueError("duplicate corners in voxel spec")
 
 
@@ -282,10 +317,14 @@ class CubicalComplex:
         return f"<CubicalComplex dim={self.dim} faces={len(self.dims)}>"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
+    __match_args__ = ("ok", "violations")
     ok: bool
     violations: tuple[str, ...]
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
     def __bool__(self):
         return self.ok

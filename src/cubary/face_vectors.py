@@ -9,21 +9,21 @@ with leading entry 2^(d-1). All arithmetic is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .complex_core import CubicalComplex
+from .complex_core import CubicalComplex, _Record
 from .polytools import RatPoly, Scalar, _exact
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(_Record):
     """Face counts (f_0, ..., f_{d-1}); d = len(entries)."""
 
+    __match_args__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
+    def __init__(self, entries: Iterable[int]):
+        entries = tuple(entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("f-vector must have length >= 1")
@@ -40,8 +40,7 @@ class FVector:
         return RatPoly(self.entries)
 
 
-@dataclass(frozen=True)
-class ShortHVector:
+class ShortHVector(_Record):
     """Short cubical h-vector (h_0, ..., h_{d-1}).
 
     Entries are integers for every actual complex; exact rationals are
@@ -49,10 +48,11 @@ class ShortHVector:
     representable.
     """
 
+    __match_args__ = ("entries",)
     entries: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(_exact, self.entries)))
+    def __init__(self, entries: Iterable[Scalar]):
+        object.__setattr__(self, "entries", tuple(map(_exact, entries)))
         if not self.entries:
             raise ValueError("short h-vector must have length >= 1")
 
@@ -64,14 +64,14 @@ class ShortHVector:
         return RatPoly(self.entries)
 
 
-@dataclass(frozen=True)
-class LongHVector:
+class LongHVector(_Record):
     """Long cubical h-vector (h_0, ..., h_d); h_0 is pinned to 2^(d-1)."""
 
+    __match_args__ = ("entries",)
     entries: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(_exact, self.entries)))
+    def __init__(self, entries: Iterable[Scalar]):
+        object.__setattr__(self, "entries", tuple(map(_exact, entries)))
         if len(self.entries) < 2:
             raise ValueError("long h-vector must have length >= 2")
         if self.entries[0] != 2 ** (self.d - 1):

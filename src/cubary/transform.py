@@ -13,23 +13,28 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import comb
 
+from .complex_core import _Record
 from .face_vectors import FVector, LongHVector, ShortHVector, _long_short_rhs, hsc_from_hc
 from .polytools import RatPoly, Scalar, _cleared, _exact, mobius_transform
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
+class CoeffMatrix(_Record):
     """Exact rational transform matrix, entries[i][j], kind "B" or "C"."""
 
+    __match_args__ = ("kind", "d", "entries")
     kind: str
     d: int
     entries: tuple[tuple[Scalar, ...], ...]
+
+    def __init__(self, kind: str, d: int, entries: tuple[tuple[Scalar, ...], ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -300,3 +305,23 @@ def _distance_to_limit(
         default=Fraction(0),
     )
     return scaled, dist
+
+
+def _distance_bits(hsc: ShortHVector, f_top: int, euler: int, n: int) -> int:
+    """Bits bounding the numerator and denominator of every distance
+    _distance_to_limit gives for rows 0..n of an integer short h-vector,
+    short or long.
+
+    The level-n polynomials have denominators dividing 2^(d-1), so the
+    scaled ones have denominators dividing 2^E, E = (n+1)(d-1). Each
+    Mobius term h_k (ax+b)^k (bx+a)^(d-1-k) has coefficients summing to
+    at most |h_k| (a+b)^(d-1) = |h_k| 2^E, so a scaled short coefficient
+    is at most |h|_1 in absolute value. Dividing by 1+x sums prefixes of
+    the long right-hand side, adding at most 2^(d-1) (1 + |euler|), and
+    no limit coefficient exceeds f_top 2^(d-1). So the numerator is
+    below B 2^E with B = |h|_1 + 2^(d-1) (f_top + 1 + |euler|); the bound
+    grows with n.
+    """
+    d = hsc.d
+    bound = sum(map(abs, hsc.entries)) + 2 ** (d - 1) * (f_top + 1 + abs(euler))
+    return (n + 1) * (d - 1) + bound.bit_length()

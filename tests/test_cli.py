@@ -530,6 +530,21 @@ class TestEndToEnd:
         assert "cubary" in out
 
 
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # every command pays for each module cubary.cli imports; dataclasses
+        # alone pulls in inspect, ast, dis and tokenize
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        probe = (
+            "import sys; before = set(sys.modules); import cubary.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 class TestHostileInput:
     def test_face_of_huge_dimension_exits_2_fast(self, cli):
         # a face with too few covers must not make validate() build 3^dim
@@ -587,6 +602,10 @@ def _synthetic_mismatch(d):
     raise RuntimeError("synthetic mismatch")
 
 
+def _no_rows(*args):
+    raise AssertionError("a refused limit computed a row")
+
+
 FAILED_REPORT = {
     "suite": "fvec",
     "items": ["cube_1"],
@@ -596,6 +615,7 @@ FAILED_REPORT = {
 SQUARE = gen_cube(2).to_json()
 POINT = gen_cube(0).to_json()
 BOUNDARY_3 = gen_cube_boundary(3).to_json()
+BOUNDARY_6 = gen_cube_boundary(6).to_json()
 MINE = ["mine", "--target", "unimodality", "--trials", "1"]
 BAD_VIOLATIONS = "face 3 of dim 1 covers 3 faces, expected 2*1; face 3 of dim 1 is not a cube: 3 facets, expected 2"
 
@@ -653,6 +673,10 @@ FAILURES = [
      "--cube-boundary 15 projects 3^15 - 1 faces, exceeding the face budget of 10000000"),
     ("budget-voxels", ["gen", "--voxels", "{tmp}/dim16.txt"], "", None, 3,
      "--voxels dim 16 projects 3^16 faces, exceeding the face budget of 10000000"),
+    ("budget-limit", ["limit", "--max-n", "2858", "--which", "hc"], BOUNDARY_6,
+     ("_distance_to_limit", _no_rows), 3,
+     "--max-n 2858 projects distances of up to 14305 bits, "
+     "exceeding the budget of 14284 bits (4300 digits)"),
     ("budget-mine", [*MINE, "--dim", "10", "--seed", "0"], "", None, 3,
      "--dim 10 projects 10^10 bits, exceeding the bit budget of 1000000000"),
     ("budget-mine-2^64", [*MINE, "--dim", str(2**64), "--seed", "0"], "", None, 3,

@@ -12,18 +12,22 @@ from cubary import (
     b_matrix,
     c_matrix,
     f_of_subdivision,
+    euler_reduced,
     f_vector,
+    gen_cube_boundary,
     hc_from_hsc,
     hc_of_subdivision,
     hsc_from_f,
     hsc_of_subdivision,
+    hc_poly_of_iterate,
     hsc_poly_of_iterate,
     limit_distance_hc,
     limit_distance_hsc,
     mobius_transform,
     subdivide,
 )
-from cubary.transform import _c_alternating_sums
+from cubary.cli import LIMIT_BIT_BUDGET
+from cubary.transform import _c_alternating_sums, _distance_bits, _distance_to_limit
 
 
 class TestBMatrix:
@@ -305,3 +309,33 @@ class TestLimits:
             for n in range(1, 21):
                 dn = limit_distance_hsc(h, f.entries[-1], n)
                 assert dn <= d0 * Fraction(1, 2**n), (name, n)
+
+    @pytest.mark.parametrize("which", ["hsc", "hc"])
+    def test_distance_bits_bound_the_printed_digits(self, corpus, which):
+        for name, K in corpus:
+            f = f_vector(K)
+            d, f_top, chi = f.d, f.entries[-1], euler_reduced(f)
+            if which == "hc" and d < 2:
+                continue
+            h = hsc_from_f(f)
+            for n in range(8):
+                p = hsc_poly_of_iterate(h, n) if which == "hsc" else hc_poly_of_iterate(h, chi, n)
+                dist = _distance_to_limit(p, which, f_top, d, n)[1]
+                bits = _distance_bits(h, f_top, chi, n)
+                digits = max(len(str(abs(dist.numerator))), len(str(dist.denominator)))
+                assert digits <= len(str(2**bits - 1)), (name, n)
+                assert max(abs(dist.numerator), dist.denominator) < 2**bits, (name, n)
+
+    def test_distance_bits_refuse_near_the_first_unprintable_row(self):
+        # on the 5-sphere's long h-vector, row 2858 is the first whose
+        # distance has an integer over 4300 digits; the projection refuses
+        # from row 2854 on
+        f = f_vector(gen_cube_boundary(6))
+        h, f_top, chi = hsc_from_f(f), f.entries[-1], euler_reduced(f)
+        widest = []
+        for n in (2857, 2858):
+            dist = _distance_to_limit(hc_poly_of_iterate(h, chi, n), "hc", f_top, f.d, n)[1]
+            widest.append(max(abs(dist.numerator), dist.denominator))
+        assert widest[0] < 10**4300 <= widest[1]
+        assert 2**LIMIT_BIT_BUDGET < 10**4300 < 2 ** (LIMIT_BIT_BUDGET + 1)
+        assert _distance_bits(h, f_top, chi, 2853) <= LIMIT_BIT_BUDGET < _distance_bits(h, f_top, chi, 2854)
