@@ -5,14 +5,15 @@ so generation, subdivision, vector computation, and verification can be
 chained and each identity stays independently scriptable.
 
 Exit codes: 0 success; 1 I/O, parse, or argument failure; 2 invalid
-complex; 3 face or bit budget exceeded; 4 coefficient-matrix cross-check
-failure; 5 verification suite failure. Oversize input exits 3 before
-anything is built: gen --cube D and --cube-boundary D (3^D faces) and
-gen --voxels with a dim D line (one D-cube alone has 3^D faces) against
-the default face budget, mine --dim D when a trial's 10^D bitset bits
-exceed 10^9, so mine takes D <= 9, and limit --max-n N, before its
-first row, when a row's distance projects an integer over 4300 digits,
-which Python will not print.
+complex; 3 face, bit or byte budget exceeded; 4 coefficient-matrix
+cross-check failure; 5 verification suite failure. Oversize input exits
+3 before anything is built: gen --cube D and --cube-boundary D (3^D
+faces) and gen --voxels with a dim D line (one D-cube alone has 3^D
+faces) against the default face budget, mine --dim D when a trial's 10^D
+bitset bits exceed 10^9, so mine takes D <= 9, limit --max-n N, before
+its first row, when a row's distance projects an integer over 4300
+digits, which Python will not print, and coeffs -d D when its output
+projects over 10^7 bytes, so coeffs takes D <= 221 (B) or D <= 220 (C).
 
 mine builds no complex: it counts each draw's faces from an occupancy
 bitset of its cells, and evaluates each distinct f-vector once. On a
@@ -69,6 +70,10 @@ MINE_BIT_BUDGET = 10**9
 # sys.get_int_max_str_digits); an int of at most (10**4300).bit_length() - 1
 # bits has at most 4300 digits, so every limit distance within it prints
 LIMIT_BIT_BUDGET = 14284
+
+# bytes coeffs may print: the order of limit's largest admitted output;
+# admits every d <= 200 for both matrices (C(200) prints about 6.3 MB)
+COEFFS_BYTE_BUDGET = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,9 +164,36 @@ def cmd_vectors(args) -> int:
     return EXIT_OK
 
 
+def _digits_of_power_of_two(k: int) -> int:
+    """An upper bound on the decimal digits of 2^k, from 0.30103 > log10(2)."""
+    return k * 30103 // 100000 + 1
+
+
+def _coeffs_bytes(matrix: str, d: int) -> int:
+    """An upper bound on the bytes coeffs prints for B(d) or C(d).
+
+    Every entry is n/2^(d-1) with 0 <= n <= 4^(d-1): the entries are
+    nonnegative and each column sums to at most 2^(d-1), its generating
+    polynomial's value at x = 1. So an entry prints at most
+    digits(4^(d-1)) + digits(2^(d-1)) characters, plus a slash, two
+    quotes and a comma; each row adds two brackets and a comma.
+    """
+    size = d if matrix == "B" else d + 1
+    entry = _digits_of_power_of_two(2 * (d - 1)) + _digits_of_power_of_two(d - 1) + 4
+    header = len(f'{{"kind":"{matrix}","d":{d},"entries":[]}}\n')
+    return size * size * entry + 3 * size + header
+
+
 def cmd_coeffs(args) -> int:
     if args.d < 1:
         raise _Failure(EXIT_INPUT, "d must be >= 1")
+    projected = _coeffs_bytes(args.matrix, args.d)
+    if projected > COEFFS_BYTE_BUDGET:
+        raise _Failure(
+            EXIT_BUDGET,
+            f"-d {args.d} projects up to {projected} bytes of output, "
+            f"exceeding the byte budget of {COEFFS_BYTE_BUDGET}",
+        )
     try:
         M = b_matrix(args.d) if args.matrix == "B" else c_matrix(args.d)
     except RuntimeError as exc:

@@ -12,39 +12,7 @@ import itertools
 import json
 from typing import Iterable, Mapping
 
-
-class _Record:
-    """Immutable value over the fields named in ``__match_args__``.
-
-    Gives what a frozen dataclass would, without importing dataclasses
-    (and with it inspect and ast) on every start: field-wise equality
-    within one class and a matching hash, a ``Name(field=value)`` repr,
-    and AttributeError on assignment and deletion. Subclasses set their
-    fields in ``__init__`` through ``object.__setattr__``.
-    """
-
-    __match_args__: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+from .polytools import _Frozen, _Record
 
 
 class VoxelSpec(_Record):
@@ -92,7 +60,7 @@ def parse_voxel_text(text: str) -> VoxelSpec:
     return VoxelSpec(ambient_dim=n, corners=tuple(corners))
 
 
-class CubicalComplex:
+class CubicalComplex(_Frozen):
     """Immutable graded face poset of a cubical complex.
 
     Attributes
@@ -117,9 +85,6 @@ class CubicalComplex:
         object.__setattr__(self, "keys", keys)
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate canonical keys")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CubicalComplex is immutable")
 
     @classmethod
     def _from_table(cls, dims, covered, keys) -> "CubicalComplex":

@@ -12,15 +12,26 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .complex_core import CubicalComplex, _Record
-from .polytools import RatPoly, Scalar, _exact
+from .complex_core import CubicalComplex
+from .polytools import RatPoly, Scalar, _Record, _exact
 
 
-class FVector(_Record):
-    """Face counts (f_0, ..., f_{d-1}); d = len(entries)."""
+class _Vector(_Record):
+    """A vector of exact entries; d = len(entries) unless overridden."""
 
     __match_args__ = ("entries",)
-    entries: tuple[int, ...]
+    entries: tuple[Scalar, ...]
+
+    @property
+    def d(self) -> int:
+        return len(self.entries)
+
+    def polynomial(self) -> RatPoly:
+        return RatPoly(self.entries)
+
+
+class FVector(_Vector):
+    """Face counts (f_0, ..., f_{d-1}); d = len(entries)."""
 
     def __init__(self, entries: Iterable[int]):
         entries = tuple(entries)
@@ -32,15 +43,8 @@ class FVector(_Record):
         if entries[-1] < 1:
             raise ValueError("top face count f_{d-1} must be positive")
 
-    @property
-    def d(self) -> int:
-        return len(self.entries)
 
-    def polynomial(self) -> RatPoly:
-        return RatPoly(self.entries)
-
-
-class ShortHVector(_Record):
+class ShortHVector(_Vector):
     """Short cubical h-vector (h_0, ..., h_{d-1}).
 
     Entries are integers for every actual complex; exact rationals are
@@ -48,27 +52,14 @@ class ShortHVector(_Record):
     representable.
     """
 
-    __match_args__ = ("entries",)
-    entries: tuple[Scalar, ...]
-
     def __init__(self, entries: Iterable[Scalar]):
         object.__setattr__(self, "entries", tuple(map(_exact, entries)))
         if not self.entries:
             raise ValueError("short h-vector must have length >= 1")
 
-    @property
-    def d(self) -> int:
-        return len(self.entries)
 
-    def polynomial(self) -> RatPoly:
-        return RatPoly(self.entries)
-
-
-class LongHVector(_Record):
+class LongHVector(_Vector):
     """Long cubical h-vector (h_0, ..., h_d); h_0 is pinned to 2^(d-1)."""
-
-    __match_args__ = ("entries",)
-    entries: tuple[Scalar, ...]
 
     def __init__(self, entries: Iterable[Scalar]):
         object.__setattr__(self, "entries", tuple(map(_exact, entries)))
@@ -83,9 +74,6 @@ class LongHVector(_Record):
     @property
     def d(self) -> int:
         return len(self.entries) - 1
-
-    def polynomial(self) -> RatPoly:
-        return RatPoly(self.entries)
 
 
 def f_vector(K: CubicalComplex) -> FVector:

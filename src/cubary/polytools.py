@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -23,7 +24,49 @@ def _exact(x) -> Scalar:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class RatPoly:
+class _Frozen:
+    """Base of every cubary value: assignment and deletion raise
+    AttributeError. Subclasses set their fields in ``__init__`` through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+
+class _Record(_Frozen):
+    """Immutable value over the fields named in ``__match_args__``.
+
+    Gives what a frozen dataclass would, without importing dataclasses
+    (and with it inspect and ast) on every start: field-wise equality
+    within one class and a matching hash, and a ``Name(field=value)``
+    repr.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class RatPoly(_Record):
     """Dense univariate polynomial with exact rational coefficients.
 
     Coefficients are stored constant-term first with no trailing zeros;
@@ -32,15 +75,13 @@ class RatPoly:
     """
 
     __slots__ = ("coeffs",)
+    __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
 
     @classmethod
     def x(cls) -> "RatPoly":
@@ -58,29 +99,15 @@ class RatPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def padded(self, n: int) -> tuple:
         """Coefficients c_0..c_{n-1}, zero-padded; fails if degree >= n."""
         if len(self.coeffs) > n:
             raise ValueError(f"degree {self.degree} does not fit in {n} slots")
         return self.coeffs + (0,) * (n - len(self.coeffs))
 
-    def __eq__(self, other):
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other):
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(
-            self.coeff(i) + other.coeff(i) for i in range(n)
-        )
+        return RatPoly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     __radd__ = __add__
 

@@ -260,6 +260,19 @@ class TestCoeffs:
         code, _, _ = cli(["coeffs", "--matrix", "B", "-d", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("matrix", ["B", "C"])
+    def test_projection_bounds_the_output(self, cli, matrix):
+        for d in range(1, 61):
+            code, out, _ = cli(["coeffs", "--matrix", matrix, "-d", str(d)])
+            assert code == 0
+            assert len(out.encode()) <= cli_mod._coeffs_bytes(matrix, d), d
+
+    def test_every_d_up_to_200_is_admitted(self):
+        assert all(
+            cli_mod._coeffs_bytes(m, d) <= cli_mod.COEFFS_BYTE_BUDGET
+            for m in "BC" for d in range(1, 201)
+        )
+
     def test_roundtrip_fractions(self, cli):
         from fractions import Fraction
 
@@ -681,6 +694,12 @@ FAILURES = [
      "--dim 10 projects 10^10 bits, exceeding the bit budget of 1000000000"),
     ("budget-mine-2^64", [*MINE, "--dim", str(2**64), "--seed", "0"], "", None, 3,
      f"--dim {2**64} projects 10^{2**64} bits, exceeding the bit budget of 1000000000"),
+    ("budget-coeffs", ["coeffs", "--matrix", "B", "-d", "100000"], "", None, 3,
+     "-d 100000 projects up to 903130000300037 bytes of output, "
+     "exceeding the byte budget of 10000000"),
+    ("budget-coeffs-10^18", ["coeffs", "--matrix", "C", "-d", str(10**18)], "", None, 3,
+     f"-d {10**18} projects up to 903090000000000005806180000000000011903090000000000057 "
+     "bytes of output, exceeding the byte budget of 10000000"),
     ("cross-check", ["coeffs", "--matrix", "C", "-d", "3"], "", ("c_matrix", _synthetic_mismatch), 4,
      "cross-check failure: synthetic mismatch"),
     ("verify", ["verify", "--suite", "fvec", "--corpus", "default"], "",

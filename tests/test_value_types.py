@@ -1,15 +1,27 @@
-"""Value semantics of cubary's six immutable record types.
+"""Value semantics of cubary's seven immutable record types, and the
+immutability of all eight value types.
 
-Each behaves as a frozen dataclass would: keyword construction, a
-``Name(field=value, ...)`` repr, field-wise equality and hashing within
-one class only, and AttributeError on assignment and on deletion.
+Each record behaves as a frozen dataclass would: keyword construction, a
+repr (``Name(field=value, ...)``, or ``RatPoly([...])``), field-wise
+equality and hashing within one class only, and AttributeError on
+assignment and on deletion. ``CubicalComplex`` keeps identity equality
+but refuses assignment and deletion the same way.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from cubary import FVector, LongHVector, ShortHVector, ValidationReport, VoxelSpec
+from cubary import (
+    CubicalComplex,
+    FVector,
+    LongHVector,
+    RatPoly,
+    ShortHVector,
+    ValidationReport,
+    VoxelSpec,
+    gen_cube,
+)
 from cubary.transform import CoeffMatrix
 
 # (type, keyword fields, repr, an instance of another type with equal fields or None)
@@ -25,6 +37,7 @@ CASES = [
      ShortHVector((2, 1, 1))),
     (CoeffMatrix, {"kind": "B", "d": 1, "entries": ((1,),)},
      "CoeffMatrix(kind='B', d=1, entries=((1,),))", None),
+    (RatPoly, {"coeffs": (1, 2)}, "RatPoly([1, 2])", None),
 ]
 
 
@@ -57,3 +70,31 @@ def test_cached_scaling_leaves_value_alone():
     assert a._scaled == (2, ((1, 6), (2, 0)))
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == "CoeffMatrix(kind='B', d=2, entries=((Fraction(1, 2), 3), (1, 0)))"
+
+
+# (type, a factory, the instance's fields)
+VALUES = [
+    *[(cls, lambda cls=cls, fields=fields: cls(**fields), tuple(fields))
+      for cls, fields, _, _ in CASES],
+    (CubicalComplex, lambda: gen_cube(1), ("dims", "covered", "keys")),
+]
+
+
+@pytest.mark.parametrize("cls,make,fields", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_assignment_and_deletion_fail(cls, make, fields):
+    obj = make()
+    before = tuple(getattr(obj, name) for name in fields)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            delattr(obj, name)
+    assert tuple(getattr(obj, name) for name in fields) == before
+    assert not hasattr(obj, "extra")
+    if cls is not CubicalComplex:
+        assert obj == cls(*before)
+
+
+def test_slotted_values_have_no_dict():
+    assert not hasattr(RatPoly((1,)), "__dict__")
+    assert not hasattr(gen_cube(0), "__dict__")
