@@ -6,14 +6,15 @@ chained and each identity stays independently scriptable.
 
 Exit codes: 0 success; 1 I/O, parse, or argument failure; 2 invalid
 complex; 3 face, bit or byte budget exceeded; 4 coefficient-matrix
-cross-check failure; 5 verification suite failure. Oversize input exits
-3 before anything is built: gen --cube D and --cube-boundary D (3^D
-faces) and gen --voxels with a dim D line (one D-cube alone has 3^D
-faces) against the default face budget, mine --dim D when a trial's 10^D
-bitset bits exceed 10^9, so mine takes D <= 9, limit --max-n N, before
-its first row, when a row's distance projects an integer over 4300
-digits, which Python will not print, and coeffs -d D when its output
-projects over 10^7 bytes, so coeffs takes D <= 221 (B) or D <= 220 (C).
+cross-check failure, in any command that builds C(d); 5 verification
+suite failure. Oversize input exits 3 before anything is built: gen
+--cube D and --cube-boundary D (3^D faces) and gen --voxels with a dim D
+line (one D-cube alone has 3^D faces) against the default face budget,
+mine --dim D when a trial's 10^D bitset bits exceed 10^9, so mine takes
+D <= 9, limit --max-n N, before its first row, when a row's distance
+projects an integer over 4300 digits, which Python will not print, and
+coeffs -d D when its output projects over 10^7 bytes, so coeffs takes
+D <= 221 (B) or D <= 220 (C).
 
 mine builds no complex: it counts each draw's faces from an occupancy
 bitset of its cells, and evaluates each distinct f-vector once. On a
@@ -45,13 +46,11 @@ from .polytools import is_real_rooted, shape_predicates
 from .subdivision import DEFAULT_FACE_BUDGET, FaceBudgetExceeded, subdivide_n
 from .transform import (
     _distance_bits,
-    _distance_to_limit,
+    _limit_rows,
     b_matrix,
     c_matrix,
     hc_of_subdivision,
-    hc_poly_of_iterate,
     hsc_of_subdivision,
-    hsc_poly_of_iterate,
 )
 from .verify import SUITES, run_suites
 
@@ -194,10 +193,7 @@ def cmd_coeffs(args) -> int:
             f"-d {args.d} projects up to {projected} bytes of output, "
             f"exceeding the byte budget of {COEFFS_BYTE_BUDGET}",
         )
-    try:
-        M = b_matrix(args.d) if args.matrix == "B" else c_matrix(args.d)
-    except RuntimeError as exc:
-        raise _Failure(EXIT_CROSSCHECK, f"cross-check failure: {exc}") from exc
+    M = b_matrix(args.d) if args.matrix == "B" else c_matrix(args.d)
     _emit(M.to_json_obj())
     return EXIT_OK
 
@@ -242,12 +238,8 @@ def cmd_limit(args) -> int:
             f"exceeding the budget of {LIMIT_BIT_BUDGET} bits (4300 digits)",
         )
     rows = []
-    for n in range(args.max_n + 1):
-        if args.which == "hsc":
-            p_n = hsc_poly_of_iterate(hsc, n)
-        else:
-            p_n = hc_poly_of_iterate(hsc, chi, n)
-        vec, dist = _distance_to_limit(p_n, args.which, f_top, d, n)
+    euler = chi if args.which == "hc" else None
+    for n, (vec, dist) in enumerate(_limit_rows(hsc, f_top, euler, range(args.max_n + 1))):
         shapes = shape_predicates(vec)
         rows.append(
             {
@@ -410,6 +402,8 @@ def main(argv=None) -> int:
         code, message = exc.code, str(exc)
     except FaceBudgetExceeded as exc:
         code, message = EXIT_BUDGET, str(exc)
+    except RuntimeError as exc:  # c_matrix or hc_from_hsc disagreeing with a cross-check
+        code, message = EXIT_CROSSCHECK, f"cross-check failure: {exc}"
     print(f"cubary: error: {message}", file=sys.stderr)
     return code
 

@@ -250,7 +250,7 @@ def limit_distance_hsc(h: ShortHVector, f_top: int, n: int) -> Fraction:
             f"f_top={f_top} inconsistent with h: sum(h) = {sum(h.entries)} "
             f"!= 2^(d-1) * f_top = {2 ** (d - 1) * f_top}"
         )
-    return _distance_to_limit(hsc_poly_of_iterate(h, n), "hsc", f_top, d, n)[1]
+    return next(_limit_rows(h, f_top, None, (n,)))[1]
 
 
 def limit_distance_hc(h: LongHVector, f_top: int, euler: int, n: int) -> Fraction:
@@ -275,7 +275,7 @@ def limit_distance_hc(h: LongHVector, f_top: int, euler: int, n: int) -> Fractio
             f"f_top={f_top} inconsistent with h: derived short h-vector "
             f"sums to {sum(hsc.entries)}, expected {2 ** (d - 1) * f_top}"
         )
-    return _distance_to_limit(hc_poly_of_iterate(hsc, euler, n), "hc", f_top, d, n)[1]
+    return next(_limit_rows(hsc, f_top, euler, (n,)))[1]
 
 
 def hc_poly_of_iterate(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
@@ -284,32 +284,29 @@ def hc_poly_of_iterate(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
     return rhs.exact_div(RatPoly((1, 1)))
 
 
-def _distance_to_limit(
-    p_n: RatPoly, which: str, f_top: int, d: int, n: int
-) -> tuple[tuple, Fraction]:
-    """The level-n short ("hsc") or long ("hc") h-polynomial p_n, scaled
-    by 2^-n(d-1) and padded to d or d+1 coefficients, and its max-norm
+def _limit_rows(hsc: ShortHVector, f_top: int, euler: int | None, ns):
+    """For each n in ns, the level-n short h-polynomial (euler None) or
+    long one (euler the reduced Euler characteristic), scaled by
+    2^-n(d-1) and padded to d or d+1 coefficients, and its max-norm
     distance from the limit f_top (x+1)^(d-1) or f_top x (x+1)^(d-2).
-
-    Takes the iterate already built, so a caller that also needs the
-    scaled coefficients builds it once.
     """
-    if which == "hsc":
-        target, length = f_top * RatPoly((1, 1)) ** (d - 1), d
+    d = hsc.d
+    if euler is None:
+        limit, length = f_top * RatPoly((1, 1)) ** (d - 1), d
     else:
-        target, length = f_top * RatPoly.x() * RatPoly((1, 1)) ** (d - 2), d + 1
-    scaled = (p_n * Fraction(1, 2 ** (n * (d - 1)))).padded(length)
-    dist = max(
-        (abs(Fraction(a - b)) for a, b in zip(scaled, target.padded(length))),
-        default=Fraction(0),
-    )
-    return scaled, dist
+        limit, length = f_top * RatPoly.x() * RatPoly((1, 1)) ** (d - 2), d + 1
+    limit = limit.padded(length)
+    for n in ns:
+        p_n = hsc_poly_of_iterate(hsc, n) if euler is None else hc_poly_of_iterate(hsc, euler, n)
+        scaled = (p_n * Fraction(1, 2 ** (n * (d - 1)))).padded(length)
+        dist = max((abs(Fraction(a - b)) for a, b in zip(scaled, limit)), default=Fraction(0))
+        yield scaled, dist
 
 
 def _distance_bits(hsc: ShortHVector, f_top: int, euler: int, n: int) -> int:
     """Bits bounding the numerator and denominator of every distance
-    _distance_to_limit gives for rows 0..n of an integer short h-vector,
-    short or long.
+    _limit_rows gives for rows 0..n of an integer short h-vector, short
+    or long.
 
     The level-n polynomials have denominators dividing 2^(d-1), so the
     scaled ones have denominators dividing 2^E, E = (n+1)(d-1). Each

@@ -4,6 +4,8 @@ against an independent formula) on given complexes."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .complex_core import CubicalComplex
 from .face_vectors import (
     check_long_short_identity,
@@ -38,54 +40,48 @@ class _Item:
         self.K = K
         self.f = f_vector(K)
         self.hsc = hsc_from_f(self.f)
+        # raises RuntimeError if the recursion disagrees with the closed form
         self.hc = hc_from_hsc(self.hsc)
-        self._sd = None
 
-    @property
+    @cached_property
     def sd(self) -> CubicalComplex:
-        if self._sd is None:
-            self._sd = subdivide(self.K)
-        return self._sd
+        return subdivide(self.K)
 
 
-def _check(records, item, check, ok, detail):
-    records.append({"item": item, "check": check, "ok": bool(ok), "detail": detail})
-
-
-def _suite_fvec(it: _Item, rec: list):
+def _suite_fvec(it: _Item):
     predicted = f_of_subdivision(it.f)
     actual = f_vector(it.sd)
-    _check(
-        rec, it.name, "fvec", predicted == actual,
+    yield (
+        "fvec", predicted == actual,
         f"transform {list(predicted.entries)} vs enumeration {list(actual.entries)}",
     )
 
 
-def _suite_hsc(it: _Item, rec: list):
+def _suite_hsc(it: _Item):
     predicted = hsc_of_subdivision(it.hsc)
     actual = hsc_from_f(f_vector(it.sd))
-    _check(
-        rec, it.name, "hsc", predicted == actual,
+    yield (
+        "hsc", predicted == actual,
         f"matrix {list(predicted.entries)} vs subdivision {list(actual.entries)}",
     )
 
 
-def _suite_hc(it: _Item, rec: list):
+def _suite_hc(it: _Item):
     predicted = hc_of_subdivision(it.hc)
     actual = hc_from_hsc(hsc_from_f(f_vector(it.sd)))
-    _check(
-        rec, it.name, "hc", predicted == actual,
+    yield (
+        "hc", predicted == actual,
         f"matrix {list(predicted.entries)} vs subdivision {list(actual.entries)}",
     )
 
 
-def _suite_euler(it: _Item, rec: list):
+def _suite_euler(it: _Item):
     before = euler_reduced(it.f)
     after = euler_reduced(f_vector(it.sd))
-    _check(rec, it.name, "euler", before == after, f"{before} vs {after}")
+    yield "euler", before == after, f"{before} vs {after}"
 
 
-def _suite_symmetry(it: _Item, rec: list):
+def _suite_symmetry(it: _Item):
     d = it.f.d
     B = b_matrix(d)
     ok_b = all(
@@ -93,84 +89,69 @@ def _suite_symmetry(it: _Item, rec: list):
         for i in range(d)
         for j in range(d)
     )
-    _check(rec, it.name, "symmetry/B-matrix", ok_b, f"d={d}")
+    yield "symmetry/B-matrix", ok_b, f"d={d}"
     C = c_matrix(d)
     ok_c = all(
         C.entries[d - i][d - j] == C.entries[i][j]
         for i in range(d + 1)
         for j in range(d + 1)
     )
-    _check(rec, it.name, "symmetry/C-matrix", ok_c, f"d={d}")
+    yield "symmetry/C-matrix", ok_c, f"d={d}"
     for label, vec, out in (
         ("hsc", it.hsc.entries, hsc_of_subdivision(it.hsc).entries),
         ("hc", it.hc.entries, hc_of_subdivision(it.hc).entries),
     ):
         if shape_predicates(vec)["symmetric"]:
             ok = shape_predicates(out)["symmetric"]
-            detail = f"{list(vec)} -> {list(out)}"
+            yield f"symmetry/{label}", ok, f"{list(vec)} -> {list(out)}"
         else:
-            ok, detail = True, f"{label} not symmetric; vacuous"
-        _check(rec, it.name, f"symmetry/{label}", ok, detail)
+            yield f"symmetry/{label}", True, f"{label} not symmetric; vacuous"
 
 
-def _suite_realroot(it: _Item, rec: list):
+def _suite_realroot(it: _Item):
     d = it.f.d
     p = it.hsc.polynomial()
     q = hsc_of_subdivision(it.hsc).polynomial()
     # the substitution identity behind root correspondence
     ok_sub = 2 ** (d - 1) * q == mobius_transform(p, 3, 1, 1, 3, d - 1)
-    _check(rec, it.name, "realroot/substitution", ok_sub, f"d={d}")
-    same = is_real_rooted(p) == is_real_rooted(q)
-    _check(
-        rec, it.name, "realroot/preserved", same,
-        f"{is_real_rooted(p)} vs {is_real_rooted(q)}",
-    )
+    yield "realroot/substitution", ok_sub, f"d={d}"
+    rp, rq = is_real_rooted(p), is_real_rooted(q)
+    yield "realroot/preserved", rp == rq, f"{rp} vs {rq}"
     if p.degree == q.degree:
-        _check(
-            rec, it.name, "realroot/count", real_root_count(p) == real_root_count(q),
-            f"{real_root_count(p)} vs {real_root_count(q)}",
-        )
+        cp, cq = real_root_count(p), real_root_count(q)
+        yield "realroot/count", cp == cq, f"{cp} vs {cq}"
     mapped = []
     for r in rational_roots(q):
         if r == -3:
             continue
         image = (3 * r + 1) / (r + 3)
         mapped.append((r, image, p(image) == 0))
-    _check(
-        rec, it.name, "realroot/root-map", all(m[2] for m in mapped),
+    yield (
+        "realroot/root-map", all(m[2] for m in mapped),
         "; ".join(f"{r} -> {img}" for r, img, _ in mapped) or "no rational roots",
     )
 
 
-def _suite_identity(it: _Item, rec: list):
+def _suite_identity(it: _Item):
     d = it.f.d
     fp = it.f.polynomial()
     hp = it.hsc.polynomial()
-    ok2 = hp == mobius_transform(fp, 2, 0, -1, 1, d - 1)
-    _check(rec, it.name, "identity/hsc-from-f-poly", ok2, "")
+    yield "identity/hsc-from-f-poly", hp == mobius_transform(fp, 2, 0, -1, 1, d - 1), ""
     ok3 = 2 ** (d - 1) * fp == mobius_transform(hp, 1, 0, 1, 2, d - 1)
-    _check(rec, it.name, "identity/f-from-hsc-poly", ok3, "")
-    try:
-        hc_from_hsc(it.hsc)
-        ok_rec = True
-    except RuntimeError:
-        ok_rec = False
-    _check(rec, it.name, "identity/hc-recursion-vs-closed", ok_rec, "")
-    _check(
-        rec, it.name, "identity/long-short", check_long_short_identity(it.f), ""
-    )
-    ok_sum = sum(it.hsc.entries) == 2 ** (d - 1) * it.f.entries[-1]
-    _check(rec, it.name, "identity/hsc-sum", ok_sum, "")
-    ok_top = it.hc.entries[-1] == (-2) ** (d - 1) * euler_reduced(it.f)
-    _check(rec, it.name, "identity/hc-top", ok_top, "")
+    yield "identity/f-from-hsc-poly", ok3, ""
+    # _Item built it.hc through this check, which raises on disagreement
+    yield "identity/hc-recursion-vs-closed", True, ""
+    yield "identity/long-short", check_long_short_identity(it.f), ""
+    yield "identity/hsc-sum", sum(it.hsc.entries) == 2 ** (d - 1) * it.f.entries[-1], ""
+    yield "identity/hc-top", it.hc.entries[-1] == (-2) ** (d - 1) * euler_reduced(it.f), ""
 
 
-def _suite_iterate(it: _Item, rec: list):
+def _suite_iterate(it: _Item):
     v = it.hsc
     for n in range(4):
         closed = hsc_poly_of_iterate(it.hsc, n)
-        _check(
-            rec, it.name, f"iterate/closed-form-n{n}", closed == v.polynomial(),
+        yield (
+            f"iterate/closed-form-n{n}", closed == v.polynomial(),
             f"{closed} vs {v.polynomial()}",
         )
         v = hsc_of_subdivision(v)
@@ -179,9 +160,10 @@ def _suite_iterate(it: _Item, rec: list):
         for _ in range(n):
             w = hsc_of_subdivision(w)
         ok = hsc_poly_of_iterate(it.hsc, m + n) == hsc_poly_of_iterate(w, m)
-        _check(rec, it.name, f"iterate/semigroup-{m}+{n}", ok, "")
+        yield f"iterate/semigroup-{m}+{n}", ok, ""
 
 
+# each suite yields (check, ok, detail) for one _Item
 _SUITE_FNS = {
     "fvec": _suite_fvec,
     "hsc": _suite_hsc,
@@ -206,7 +188,8 @@ def run_suites(
     for name, K in complexes:
         it = _Item(name, K)
         for s in names:
-            _SUITE_FNS[s](it, records)
+            for check, ok, detail in _SUITE_FNS[s](it):
+                records.append({"item": name, "check": check, "ok": bool(ok), "detail": detail})
     return {
         "suite": suite,
         "items": [name for name, _ in complexes],

@@ -38,6 +38,7 @@ from cubary import cli as cli_mod
 from cubary.cli import main
 from cubary.complex_core import _voxel_f_counts
 from cubary.corpus import bernoulli_voxel_spec
+from cubary.verify import SUITES, run_suites
 from exact_oracle import apply_oracle
 
 
@@ -317,6 +318,15 @@ class TestVerify:
         code, _, _ = cli(["verify", "--suite", "nope", "--corpus", "default"])
         assert code == 1
 
+    def test_each_suite_alone_gives_its_records_from_all(self, corpus):
+        # the suites share each item's cached data, so none may depend on
+        # what another suite computed before it
+        every = run_suites("all", corpus)["checks"]
+        for suite in SUITES:
+            own = [r for r in every if r["check"].split("/")[0] == suite]
+            assert own, suite
+            assert run_suites(suite, corpus)["checks"] == own, suite
+
 
 class TestLimit:
     def test_hsc_distances_decrease(self, cli):
@@ -353,11 +363,15 @@ class TestLimit:
         assert out == ""
         assert "max-n" in err
 
-    @pytest.mark.parametrize("which", ["hsc", "hc"])
-    def test_rows_match_the_public_functions(self, cli, which):
+    @pytest.mark.parametrize(
+        "boundary,which",
+        [("4", "hsc"), ("4", "hc"), ("5", "hsc"), ("5", "hc")],
+        ids=["hsc", "hc", "boundary-5-hsc", "boundary-5-hc"],
+    )
+    def test_rows_match_the_public_functions(self, cli, boundary, which):
         # each row as the seed computed it: the distance from the public
         # limit_distance_* and the shapes from the iterate built again
-        src = gen_json(cli, "--cube-boundary", "4")
+        src = gen_json(cli, "--cube-boundary", boundary)
         code, out, _ = cli(["limit", "--max-n", "6", "--which", which], stdin_text=src)
         assert code == 0
         f = f_vector(CubicalComplex.from_json(src))
@@ -611,7 +625,7 @@ class TestInternalFailurePaths:
         assert json.loads(out)["ok"] is False
 
 
-def _synthetic_mismatch(d):
+def _synthetic_mismatch(*args):
     raise RuntimeError("synthetic mismatch")
 
 
@@ -687,7 +701,7 @@ FAILURES = [
     ("budget-voxels", ["gen", "--voxels", "{tmp}/dim16.txt"], "", None, 3,
      "--voxels dim 16 projects 3^16 faces, exceeding the face budget of 10000000"),
     ("budget-limit", ["limit", "--max-n", "2858", "--which", "hc"], BOUNDARY_6,
-     ("_distance_to_limit", _no_rows), 3,
+     ("_limit_rows", _no_rows), 3,
      "--max-n 2858 projects distances of up to 14305 bits, "
      "exceeding the budget of 14284 bits (4300 digits)"),
     ("budget-mine", [*MINE, "--dim", "10", "--seed", "0"], "", None, 3,
@@ -702,6 +716,10 @@ FAILURES = [
      "bytes of output, exceeding the byte budget of 10000000"),
     ("cross-check", ["coeffs", "--matrix", "C", "-d", "3"], "", ("c_matrix", _synthetic_mismatch), 4,
      "cross-check failure: synthetic mismatch"),
+    ("cross-check-verify", ["verify", "--suite", "hc", "--corpus", "default"], "",
+     ("run_suites", _synthetic_mismatch), 4, "cross-check failure: synthetic mismatch"),
+    ("cross-check-mine", ["mine", "--target", "realroot", "--dim", "2", "--trials", "200", "--seed", "1"],
+     "", ("hc_of_subdivision", _synthetic_mismatch), 4, "cross-check failure: synthetic mismatch"),
     ("verify", ["verify", "--suite", "fvec", "--corpus", "default"], "",
      ("run_suites", lambda *a, **k: FAILED_REPORT), 5, "check fvec failed on cube_1: synthetic"),
 ]

@@ -19,7 +19,6 @@ from cubary import (
     hc_of_subdivision,
     hsc_from_f,
     hsc_of_subdivision,
-    hc_poly_of_iterate,
     hsc_poly_of_iterate,
     limit_distance_hc,
     limit_distance_hsc,
@@ -27,7 +26,7 @@ from cubary import (
     subdivide,
 )
 from cubary.cli import LIMIT_BIT_BUDGET
-from cubary.transform import _c_alternating_sums, _distance_bits, _distance_to_limit
+from cubary.transform import _c_alternating_sums, _distance_bits, _limit_rows
 
 
 class TestBMatrix:
@@ -318,9 +317,8 @@ class TestLimits:
             if which == "hc" and d < 2:
                 continue
             h = hsc_from_f(f)
-            for n in range(8):
-                p = hsc_poly_of_iterate(h, n) if which == "hsc" else hc_poly_of_iterate(h, chi, n)
-                dist = _distance_to_limit(p, which, f_top, d, n)[1]
+            euler = chi if which == "hc" else None
+            for n, (_, dist) in enumerate(_limit_rows(h, f_top, euler, range(8))):
                 bits = _distance_bits(h, f_top, chi, n)
                 digits = max(len(str(abs(dist.numerator))), len(str(dist.denominator)))
                 assert digits <= len(str(2**bits - 1)), (name, n)
@@ -333,8 +331,7 @@ class TestLimits:
         f = f_vector(gen_cube_boundary(6))
         h, f_top, chi = hsc_from_f(f), f.entries[-1], euler_reduced(f)
         widest = []
-        for n in (2857, 2858):
-            dist = _distance_to_limit(hc_poly_of_iterate(h, chi, n), "hc", f_top, f.d, n)[1]
+        for _, dist in _limit_rows(h, f_top, chi, (2857, 2858)):
             widest.append(max(abs(dist.numerator), dist.denominator))
         assert widest[0] < 10**4300 <= widest[1]
         assert 2**LIMIT_BIT_BUDGET < 10**4300 < 2 ** (LIMIT_BIT_BUDGET + 1)
