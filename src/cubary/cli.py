@@ -28,31 +28,17 @@ import argparse
 import functools
 import json
 import sys
-from decimal import Decimal, localcontext
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import corpus as corpus_mod
-from .complex_core import (
-    CubicalComplex,
-    _voxel_f_counts,
-    from_voxels,
-    gen_cube,
-    gen_cube_boundary,
-    parse_voxel_text,
-    validate,
-)
-from .face_vectors import FVector, euler_reduced, f_vector, hc_from_hsc, hsc_from_f, summary
-from .polytools import is_real_rooted, shape_predicates
-from .subdivision import DEFAULT_FACE_BUDGET, FaceBudgetExceeded, subdivide_n
-from .transform import (
-    _distance_bits,
-    _limit_rows,
-    b_matrix,
-    c_matrix,
-    hc_of_subdivision,
-    hsc_of_subdivision,
-)
-from .verify import SUITES, run_suites
+# Only what the parser and main() need is imported here. Each command
+# imports the layers it calls when it runs, so a process loads (and,
+# without a bytecode cache, compiles) only those.
+from ._base import DEFAULT_FACE_BUDGET, SUITES
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .complex_core import CubicalComplex
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,6 +79,8 @@ class _Failure(Exception):
 
 def _complex_from_stdin() -> CubicalComplex:
     """The complex on stdin: exit 1 if it does not parse, 2 if it is invalid."""
+    from .complex_core import CubicalComplex, validate
+
     try:
         K = CubicalComplex.from_json(sys.stdin.read())
         report = validate(K)
@@ -123,6 +111,8 @@ def _emit(obj) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .complex_core import from_voxels, gen_cube, gen_cube_boundary, parse_voxel_text, validate
+
     try:
         if args.cube is not None:
             _check_budget(f"--cube {args.cube}", 3, args.cube)
@@ -146,16 +136,25 @@ def cmd_gen(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
+    from .subdivision import FaceBudgetExceeded, subdivide_n
+
     if args.budget < 0:
         raise _Failure(EXIT_INPUT, "budget must be >= 0")
     K = _complex_from_stdin()
     if args.n < 0:
         raise _Failure(EXIT_INPUT, "n must be >= 0")
-    _emit(subdivide_n(K, args.n, face_budget=args.budget).to_json_obj())
+    try:
+        K = subdivide_n(K, args.n, face_budget=args.budget)
+    except FaceBudgetExceeded as exc:
+        raise _Failure(EXIT_BUDGET, str(exc)) from exc
+    _emit(K.to_json_obj())
     return EXIT_OK
 
 
 def cmd_vectors(args) -> int:
+    from .face_vectors import summary
+    from .polytools import shape_predicates
+
     payload = summary(_complex_from_stdin())
     payload["hsc_shape"] = shape_predicates(payload["hsc"])
     payload["hc_shape"] = shape_predicates(payload["hc"])
@@ -193,14 +192,20 @@ def cmd_coeffs(args) -> int:
             f"-d {args.d} projects up to {projected} bytes of output, "
             f"exceeding the byte budget of {COEFFS_BYTE_BUDGET}",
         )
+    from .transform import b_matrix, c_matrix
+
     M = b_matrix(args.d) if args.matrix == "B" else c_matrix(args.d)
     _emit(M.to_json_obj())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     if args.corpus is not None:
-        complexes = corpus_mod.default_corpus()
+        from .corpus import default_corpus
+
+        complexes = default_corpus()
     else:
         complexes = [("stdin", _complex_from_stdin())]
     report = run_suites(args.suite, complexes)
@@ -215,12 +220,18 @@ def cmd_verify(args) -> int:
 
 
 def _decimal10(x: Fraction) -> str:
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = 10
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 def cmd_limit(args) -> int:
+    from .face_vectors import euler_reduced, f_vector, hsc_from_f
+    from .polytools import shape_predicates
+    from .transform import _distance_bits, _limit_rows
+
     if args.max_n < 0:
         raise _Failure(EXIT_INPUT, "max-n must be >= 0")
     f = f_vector(_complex_from_stdin())
@@ -263,6 +274,10 @@ def _evaluate(target: str, f: tuple[int, ...]):
     (vector, subdivided vector, whether the subdivided one has the
     property).
     """
+    from .face_vectors import FVector, hc_from_hsc, hsc_from_f
+    from .polytools import is_real_rooted, shape_predicates
+    from .transform import hc_of_subdivision, hsc_of_subdivision
+
     hsc = hsc_from_f(FVector(f))
     if target == "unimodality":
         vec = hsc.entries
@@ -289,12 +304,15 @@ def cmd_mine(args) -> int:
     _check_budget(f"--dim {args.dim}", 10, args.dim, unit="bit", budget=MINE_BIT_BUDGET)
     import random
 
+    from .complex_core import _voxel_f_counts
+    from .corpus import bernoulli_voxel_spec
+
     rng = random.Random(args.seed)
     # small draws repeat f-vectors often; bounded, as at dim >= 5 all differ
     evaluate = functools.lru_cache(maxsize=4096)(_evaluate)
     findings = 0
     for trial in range(args.trials):
-        spec = corpus_mod.bernoulli_voxel_spec(rng, args.dim)
+        spec = bernoulli_voxel_spec(rng, args.dim)
         f = tuple(_voxel_f_counts(spec))
         verdict = evaluate(args.target, f)
         if verdict is None:
@@ -400,8 +418,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     except _Failure as exc:
         code, message = exc.code, str(exc)
-    except FaceBudgetExceeded as exc:
-        code, message = EXIT_BUDGET, str(exc)
     except RuntimeError as exc:  # c_matrix or hc_from_hsc disagreeing with a cross-check
         code, message = EXIT_CROSSCHECK, f"cross-check failure: {exc}"
     print(f"cubary: error: {message}", file=sys.stderr)

@@ -12,7 +12,7 @@ import itertools
 import json
 from typing import Iterable, Mapping
 
-from .polytools import _Frozen, _Record
+from ._base import _Frozen, _Record
 
 
 class VoxelSpec(_Record):

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .complex_core import CubicalComplex
-from .polytools import RatPoly, Scalar, _Record, _exact
+from ._base import _Record
+from .polytools import RatPoly, Scalar, _exact
+
+if TYPE_CHECKING:
+    from .complex_core import CubicalComplex
 
 
 class _Vector(_Record):
@@ -118,28 +121,44 @@ def f_from_hsc(h: ShortHVector) -> FVector:
     return FVector(tuple(f))
 
 
+def _hc_recursion(h: ShortHVector) -> LongHVector:
+    """Long h-vector via h_{i+1}^c = h_i^sc - h_i^c, started at h_0^c = 2^(d-1)."""
+    hc: list[Scalar] = [2 ** (h.d - 1)]
+    for x in h.entries:
+        hc.append(x - hc[-1])
+    return LongHVector(hc)
+
+
+def _hc_closed_form(h: ShortHVector) -> list[Scalar]:
+    """h_i^c = sum_{j<i} (-1)^(i+j-1) h_j^sc + (-1)^i 2^(d-1), for i = 0..d."""
+    d = h.d
+    return [
+        sum((-1) ** (i + j - 1) * h.entries[j] for j in range(i)) + (-1) ** i * 2 ** (d - 1)
+        for i in range(d + 1)
+    ]
+
+
+def _hc_mismatch(h: ShortHVector, hc: LongHVector) -> str:
+    """"" when hc agrees entrywise with the closed form for h, else the
+    first differing index and both values."""
+    for i, (rec, closed) in enumerate(zip(hc.entries, _hc_closed_form(h))):
+        if rec != closed:
+            return f"index {i}: {rec} vs {closed}"
+    return ""
+
+
 def hc_from_hsc(h: ShortHVector) -> LongHVector:
     """Long h-vector via the recursion h_{i+1}^c = h_i^sc - h_i^c,
     started at h_0^c = 2^(d-1).
 
-    The alternating-sum closed form
-    h_i^c = sum_{j<i} (-1)^(i+j-1) h_j^sc + (-1)^i 2^(d-1)
-    is recomputed independently and must agree entrywise.
+    The alternating-sum closed form is recomputed independently and must
+    agree entrywise; a disagreement raises RuntimeError.
     """
-    d = h.d
-    hc: list[Scalar] = [2 ** (d - 1)]
-    for i in range(d):
-        hc.append(h.entries[i] - hc[i])
-    for i in range(1, d + 1):
-        closed = sum(
-            (-1) ** (i + j - 1) * h.entries[j] for j in range(i)
-        ) + (-1) ** i * 2 ** (d - 1)
-        if closed != hc[i]:
-            raise RuntimeError(
-                f"long h-vector recursion and closed form disagree at index "
-                f"{i}: {hc[i]} vs {closed}"
-            )
-    return LongHVector(tuple(hc))
+    hc = _hc_recursion(h)
+    mismatch = _hc_mismatch(h, hc)
+    if mismatch:
+        raise RuntimeError(f"long h-vector recursion and closed form disagree at {mismatch}")
+    return hc
 
 
 def hsc_from_hc(h: LongHVector) -> ShortHVector:
@@ -158,7 +177,7 @@ def check_long_short_identity(f: FVector) -> bool:
     """Verify (1+x) h^c(x) = 2^(d-1) + x h^sc(x) + 2^(d-1) (-x)^(d+1) chi~
     as exact polynomials, with every quantity derived from f."""
     hsc = hsc_from_f(f)
-    lhs = RatPoly((1, 1)) * hc_from_hsc(hsc).polynomial()
+    lhs = RatPoly((1, 1)) * _hc_recursion(hsc).polynomial()
     return lhs == _long_short_rhs(f.d, hsc.polynomial(), euler_reduced(f))
 
 

@@ -8,11 +8,10 @@ dim(G) - dim(F); the result has the same dimension as the input.
 
 from __future__ import annotations
 
+from ._base import DEFAULT_FACE_BUDGET
 from .complex_core import CubicalComplex
 from .face_vectors import FVector, f_vector
 from .transform import f_of_subdivision
-
-DEFAULT_FACE_BUDGET = 10**7
 
 # A step may also hold at most this many key characters per budgeted face,
 # counted as projected faces times the projected longest key. Keys double

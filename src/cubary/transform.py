@@ -18,8 +18,9 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from math import comb
 
+from ._base import _Record
 from .face_vectors import FVector, LongHVector, ShortHVector, _long_short_rhs, hsc_from_hc
-from .polytools import RatPoly, Scalar, _Record, _cleared, _exact, mobius_transform
+from .polytools import RatPoly, Scalar, _cleared, _exact, mobius_transform
 
 
 class CoeffMatrix(_Record):

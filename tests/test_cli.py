@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -34,8 +35,10 @@ from cubary import (
     limit_distance_hsc,
     shape_predicates,
 )
+import cubary
 from cubary import cli as cli_mod
-from cubary.cli import main
+from cubary import face_vectors
+from cubary.cli import build_parser, main
 from cubary.complex_core import _voxel_f_counts
 from cubary.corpus import bernoulli_voxel_spec
 from cubary.verify import SUITES, run_suites
@@ -327,6 +330,27 @@ class TestVerify:
             assert own, suite
             assert run_suites(suite, corpus)["checks"] == own, suite
 
+    def test_hc_closed_form_disagreement_fails_its_record(self, cli, monkeypatch):
+        real = face_vectors._hc_closed_form
+
+        def off_by_one(h):
+            closed = real(h)
+            closed[-1] += 1
+            return closed
+
+        monkeypatch.setattr(face_vectors, "_hc_closed_form", off_by_one)
+        code, out, err = cli(["verify", "--suite", "identity", "--corpus", "default"])
+        assert code == 5
+        report = json.loads(out)
+        failed = [r for r in report["checks"] if not r["ok"]]
+        assert [r["item"] for r in failed] == report["items"]
+        for r in failed:
+            assert r["check"] == "identity/hc-recursion-vs-closed"
+            _, rec, closed = re.fullmatch(r"index (\d+): (-?\d+) vs (-?\d+)", r["detail"]).groups()
+            assert int(closed) == int(rec) + 1
+        first = failed[0]
+        assert err == f"cubary: error: check {first['check']} failed on {first['item']}: {first['detail']}\n"
+
 
 class TestLimit:
     def test_hsc_distances_decrease(self, cli):
@@ -502,7 +526,7 @@ class TestMine:
         assert code == 0
         assert len(out.splitlines()) == findings + 1
         monkeypatch.setattr(
-            "cubary.cli._voxel_f_counts", lambda spec: f_vector(from_voxels(spec)).entries
+            "cubary.complex_core._voxel_f_counts", lambda spec: f_vector(from_voxels(spec)).entries
         )
         assert cli(argv) == (0, out, "")
 
@@ -557,19 +581,98 @@ class TestEndToEnd:
         assert "cubary" in out
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = sorted(f"cubary.{p.stem}" for p in (SRC / "cubary").glob("*.py") if p.stem != "__init__")
+
+
+def _layers(*names):
+    return [f"cubary.{name}" for name in names]
+
+
+# Runs a statement, or cli.main(argv), in a fresh interpreter and reports the
+# exit code and which of the given modules it newly loaded.
+LOAD_PROBE = """
+import json, sys
+before = set(sys.modules)
+what, forbidden = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+if isinstance(what, str):
+    exec(what)
+    code = 0
+else:
+    from cubary.cli import main
+    code = main(what)
+sys.stderr.write(json.dumps([code, sorted(set(forbidden) & (set(sys.modules) - before))]))
+"""
+
+
 class TestStartup:
-    def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # every command pays for each module cubary.cli imports; dataclasses
-        # alone pulls in inspect, ast, dis and tokenize
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        probe = (
-            "import sys; before = set(sys.modules); import cubary.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    # without a bytecode cache every process compiles each module it
+    # imports, so each command must load only the layers it calls
+    @pytest.mark.parametrize(
+        "what,stdin,forbidden",
+        [
+            ("import cubary", "", [*SUBMODULES, "fractions", "decimal"]),
+            # dataclasses alone pulls in inspect, ast, dis and tokenize
+            ("import cubary.cli", "", ["dataclasses", "inspect"]),
+            (["gen", "--cube-boundary", "3"], "",
+             [*_layers("polytools", "face_vectors", "transform", "subdivision", "verify", "corpus"),
+              "fractions", "decimal"]),
+            (["coeffs", "--matrix", "C", "-d", "4"], "",
+             _layers("complex_core", "subdivision", "verify", "corpus")),
+            (["vectors"], gen_cube_boundary(3).to_json(),
+             _layers("transform", "subdivision", "verify", "corpus")),
+            (["subdivide", "-n", "1"], gen_cube_boundary(3).to_json(), _layers("verify", "corpus")),
+            (["limit", "--max-n", "3"], gen_cube_boundary(3).to_json(),
+             _layers("subdivision", "verify", "corpus")),
+            (["mine", "--target", "realroot", "--dim", "2", "--trials", "20", "--seed", "4"], "",
+             _layers("subdivision", "verify")),
+        ],
+        ids=["import", "import-cli", "gen", "coeffs", "vectors", "subdivide", "limit", "mine"],
+    )
+    def test_loads_only_what_runs(self, what, stdin, forbidden):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", LOAD_PROBE, json.dumps(what), json.dumps(forbidden)],
+            input=stdin, capture_output=True, text=True, env=env, timeout=60,
         )
+        assert (proc.returncode, proc.stderr) == (0, "[0, []]")
+
+    def test_lazy_namespace_contract(self):
+        assert cubary.__all__ == PUBLIC_NAMES
+        for name in PUBLIC_NAMES:
+            value = getattr(cubary, name)
+            module = "cubary._base" if name == "DEFAULT_FACE_BUDGET" else value.__module__
+            assert module.startswith("cubary."), name
+            assert value is getattr(sys.modules[module], name), name
+        assert cubary.DEFAULT_FACE_BUDGET is cubary.subdivision.DEFAULT_FACE_BUDGET
+        with pytest.raises(AttributeError, match=r"^module 'cubary' has no attribute 'nope'$"):
+            cubary.nope
+        # a fresh interpreter: dir() before any name is used, then import *
+        probe = (
+            "import json, cubary; listed = dir(cubary); ns = {}; exec('from cubary import *', ns); "
+            "print(json.dumps([n for n in cubary.__all__ if n not in listed or n not in ns]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == SUITES + ("all",)
+
+
+# the public names in their published order
+PUBLIC_NAMES = [
+    "CubicalComplex", "ValidationReport", "VoxelSpec", "from_voxels", "gen_cube",
+    "gen_cube_boundary", "parse_voxel_text", "validate", "FVector", "LongHVector",
+    "ShortHVector", "check_long_short_identity", "euler_reduced", "f_from_hsc", "f_vector",
+    "hc_from_hsc", "hsc_from_f", "hsc_from_hc", "summary", "RatPoly", "is_real_rooted",
+    "mobius_transform", "rational_roots", "real_root_count", "shape_predicates",
+    "DEFAULT_FACE_BUDGET", "FaceBudgetExceeded", "subdivide", "subdivide_n", "CoeffMatrix",
+    "b_matrix", "c_matrix", "f_of_subdivision", "hc_of_subdivision", "hc_poly_of_iterate",
+    "hsc_of_subdivision", "hsc_poly_of_iterate", "limit_distance_hc", "limit_distance_hsc",
+]
 
 
 class TestHostileInput:
@@ -604,7 +707,7 @@ class TestInternalFailurePaths:
         def boom(d):
             raise RuntimeError("synthetic mismatch")
 
-        monkeypatch.setattr("cubary.cli.c_matrix", boom)
+        monkeypatch.setattr("cubary.transform.c_matrix", boom)
         code, _, err = cli(["coeffs", "--matrix", "C", "-d", "3"])
         assert code == 4
         assert "cross-check" in err
@@ -618,7 +721,7 @@ class TestInternalFailurePaths:
             ],
             "ok": False,
         }
-        monkeypatch.setattr("cubary.cli.run_suites", lambda *a, **k: report)
+        monkeypatch.setattr("cubary.verify.run_suites", lambda *a, **k: report)
         code, out, err = cli(["verify", "--suite", "fvec", "--corpus", "default"])
         assert code == 5
         assert "fvec" in err and "cube_1" in err
@@ -646,8 +749,9 @@ BOUNDARY_6 = gen_cube_boundary(6).to_json()
 MINE = ["mine", "--target", "unimodality", "--trials", "1"]
 BAD_VIOLATIONS = "face 3 of dim 1 covers 3 faces, expected 2*1; face 3 of dim 1 is not a cube: 3 facets, expected 2"
 
-# (id, argv, stdin, (name in cubary.cli, replacement) or None, exit code, stderr
-# after "cubary: error: "); {tmp} in argv and stderr is the voxel file directory
+# (id, argv, stdin, (dotted name in its defining module, replacement) or None,
+# exit code, stderr after "cubary: error: "); {tmp} in argv and stderr is the
+# voxel file directory
 FAILURES = [
     ("subdivide-budget", ["subdivide", "-n", "1", "--budget", "-5"], SQUARE, None, 1,
      "budget must be >= 0"),
@@ -687,7 +791,7 @@ FAILURES = [
     ("invalid-limit", ["limit", "--max-n", "1"], BAD_COMPLEX, None, 2,
      f"invalid complex: {BAD_VIOLATIONS}"),
     ("gen-validation", ["gen", "--cube", "2"], "",
-     ("gen_cube", lambda d: CubicalComplex.from_json(BAD_COMPLEX)), 2,
+     ("cubary.complex_core.gen_cube", lambda d: CubicalComplex.from_json(BAD_COMPLEX)), 2,
      "generated complex failed validation: face 3 of dim 1 covers 3 faces, expected 2*1"),
     ("budget-subdivide-faces", ["subdivide", "-n", "9", "--budget", "1000"], BOUNDARY_3, None, 3,
      "subdivision step 3 projects 1538 faces (f = [386, 768, 384]), exceeding the budget of 1000"),
@@ -701,7 +805,7 @@ FAILURES = [
     ("budget-voxels", ["gen", "--voxels", "{tmp}/dim16.txt"], "", None, 3,
      "--voxels dim 16 projects 3^16 faces, exceeding the face budget of 10000000"),
     ("budget-limit", ["limit", "--max-n", "2858", "--which", "hc"], BOUNDARY_6,
-     ("_limit_rows", _no_rows), 3,
+     ("cubary.transform._limit_rows", _no_rows), 3,
      "--max-n 2858 projects distances of up to 14305 bits, "
      "exceeding the budget of 14284 bits (4300 digits)"),
     ("budget-mine", [*MINE, "--dim", "10", "--seed", "0"], "", None, 3,
@@ -714,14 +818,17 @@ FAILURES = [
     ("budget-coeffs-10^18", ["coeffs", "--matrix", "C", "-d", str(10**18)], "", None, 3,
      f"-d {10**18} projects up to 903090000000000005806180000000000011903090000000000057 "
      "bytes of output, exceeding the byte budget of 10000000"),
-    ("cross-check", ["coeffs", "--matrix", "C", "-d", "3"], "", ("c_matrix", _synthetic_mismatch), 4,
+    ("cross-check", ["coeffs", "--matrix", "C", "-d", "3"], "",
+     ("cubary.transform.c_matrix", _synthetic_mismatch), 4,
      "cross-check failure: synthetic mismatch"),
     ("cross-check-verify", ["verify", "--suite", "hc", "--corpus", "default"], "",
-     ("run_suites", _synthetic_mismatch), 4, "cross-check failure: synthetic mismatch"),
+     ("cubary.verify.run_suites", _synthetic_mismatch), 4, "cross-check failure: synthetic mismatch"),
     ("cross-check-mine", ["mine", "--target", "realroot", "--dim", "2", "--trials", "200", "--seed", "1"],
-     "", ("hc_of_subdivision", _synthetic_mismatch), 4, "cross-check failure: synthetic mismatch"),
+     "", ("cubary.transform.hc_of_subdivision", _synthetic_mismatch), 4,
+     "cross-check failure: synthetic mismatch"),
     ("verify", ["verify", "--suite", "fvec", "--corpus", "default"], "",
-     ("run_suites", lambda *a, **k: FAILED_REPORT), 5, "check fvec failed on cube_1: synthetic"),
+     ("cubary.verify.run_suites", lambda *a, **k: FAILED_REPORT), 5,
+     "check fvec failed on cube_1: synthetic"),
 ]
 
 
@@ -740,7 +847,7 @@ class TestFailureOutput:
     )
     def test_exact_stderr(self, cli, monkeypatch, voxel_dir, argv, stdin, patch, code, message):
         if patch:
-            monkeypatch.setattr(f"cubary.cli.{patch[0]}", patch[1])
+            monkeypatch.setattr(*patch)
         tmp = str(voxel_dir)
         start = time.perf_counter()
         got = cli([a.replace("{tmp}", tmp) for a in argv], stdin_text=stdin)
