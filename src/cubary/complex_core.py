@@ -541,5 +541,9 @@ def from_voxels(spec: VoxelSpec) -> CubicalComplex:
     Faces are keyed by (free coordinate set, minimal corner), so cubes
     sharing a face deduplicate automatically, and axis-aligned unit-cube
     geometry makes the intersection property hold by construction.
+    The dimension and every coordinate must be exactly int (not bool).
     """
+    for x in (spec.ambient_dim, *(x for c in spec.corners for x in c)):
+        if type(x) is not int:
+            raise ValueError(f"voxel spec needs int dimension and coordinates, got {x!r}")
     return CubicalComplex._from_table(*_cube_faces(spec.ambient_dim, spec.corners))

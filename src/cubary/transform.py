@@ -20,7 +20,7 @@ from math import comb
 
 from ._base import _Record
 from .face_vectors import FVector, LongHVector, ShortHVector, _long_short_rhs, hsc_from_hc
-from .polytools import RatPoly, Scalar, _cleared, _exact, mobius_transform
+from .polytools import RatPoly, Scalar, _cleared, mobius_transform
 
 
 class CoeffMatrix(_Record):
@@ -77,21 +77,28 @@ class CoeffMatrix(_Record):
         }
 
 
-def _columns_to_rows(cols: list[tuple], size: int) -> tuple:
-    return tuple(tuple(col[i] for col in cols) for i in range(size))
+def _over(den: int, rows) -> tuple:
+    """Rows of integer numerators over den as entries: an int where the
+    entry is integral, a Fraction in lowest terms otherwise."""
+    return tuple(tuple(Fraction(n, den) if n % den else n // den for n in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
 def b_matrix(d: int) -> CoeffMatrix:
-    """Short h-vector transform matrix for complexes with d = dim + 1."""
+    """Short h-vector transform matrix for complexes with d = dim + 1.
+
+    Column j times 2^(d-1) is (3x+1)^j (x+3)^(d-1-j), so each column is
+    the one before times 3x+1, divided exactly by x+3.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    half = Fraction(1, 2 ** (d - 1))
-    cols = []
-    for j in range(d):
-        p = RatPoly((1, 3)) ** j * RatPoly((3, 1)) ** (d - 1 - j) * half
-        cols.append(p.padded(d))
-    return CoeffMatrix("B", d, _columns_to_rows(cols, d))
+    x3p1, xp3 = RatPoly((1, 3)), RatPoly((3, 1))
+    col = xp3 ** (d - 1)
+    cols = [col.padded(d)]
+    for _ in range(d - 1):
+        col = (col * x3p1).exact_div(xp3)
+        cols.append(col.padded(d))
+    return CoeffMatrix("B", d, _over(2 ** (d - 1), zip(*cols)))
 
 
 @lru_cache(maxsize=None)
@@ -117,21 +124,19 @@ def c_matrix(d: int) -> CoeffMatrix:
 
 
 def _c_closed_forms(d: int) -> tuple:
-    one_plus_x = RatPoly((1, 1))
-    x = RatPoly.x()
-    cols = []
-    # j = 0: (x (x+3)^(d-1) / 2^(d-1) + 1) / (1+x)
-    num = x * RatPoly((3, 1)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + 1
-    cols.append(num.exact_div(one_plus_x).padded(d + 1))
-    # 1 <= j <= d-1: x (3x+1)^(j-1) (x+3)^(d-1-j) / 2^(d-3)
-    scale = Fraction(2) ** (3 - d)
+    """C's columns from their closed forms, each times 2^(d-1) over
+    integers; independent of B."""
+    den = 2 ** (d - 1)
+    x, one_plus_x = RatPoly.x(), RatPoly((1, 1))
+    x3p1, xp3 = RatPoly((1, 3)), RatPoly((3, 1))
+    # j = 0: (x (x+3)^(d-1) + 2^(d-1)) / (1+x)
+    cols = [(x * xp3 ** (d - 1) + den).exact_div(one_plus_x)]
+    # 1 <= j <= d-1: 4x (3x+1)^(j-1) (x+3)^(d-1-j)
     for j in range(1, d):
-        p = x * RatPoly((1, 3)) ** (j - 1) * RatPoly((3, 1)) ** (d - 1 - j) * scale
-        cols.append(p.padded(d + 1))
-    # j = d: (x (3x+1)^(d-1) / 2^(d-1) + x^(d+1)) / (1+x)
-    num = x * RatPoly((1, 3)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + x ** (d + 1)
-    cols.append(num.exact_div(one_plus_x).padded(d + 1))
-    return _columns_to_rows(cols, d + 1)
+        cols.append(4 * x * x3p1 ** (j - 1) * xp3 ** (d - 1 - j))
+    # j = d: (x (3x+1)^(d-1) + 2^(d-1) x^(d+1)) / (1+x)
+    cols.append((x * x3p1 ** (d - 1) + den * x ** (d + 1)).exact_div(one_plus_x))
+    return _over(den, zip(*(col.padded(d + 1) for col in cols)))
 
 
 def _c_alternating_sums(d: int) -> tuple:
@@ -140,16 +145,14 @@ def _c_alternating_sums(d: int) -> tuple:
     C[i][j] = (-1)^i [j=0] + sum_{k<i} (-1)^(i+k-1) (B[k][j] + B[k][j-1]),
     computed by the recursion it sums: C[0][j] = [j=0] and
     C[i+1][j] = B[i][j] + B[i][j-1] - C[i][j], so the time is O(d^2).
+    The recursion runs on B's integer numerators over their common
+    denominator.
     """
-    B = b_matrix(d).entries
-
-    def b(k: int, j: int) -> Scalar:
-        return B[k][j] if 0 <= j < d else 0
-
-    rows = [tuple(int(j == 0) for j in range(d + 1))]
-    for i in range(d):
-        rows.append(tuple(_exact(b(i, j) + b(i, j - 1) - c) for j, c in enumerate(rows[-1])))
-    return tuple(rows)
+    den, B = b_matrix(d)._scaled
+    rows = [(den,) + (0,) * d]
+    for row in B:
+        rows.append(tuple(a + b - c for a, b, c in zip(row + (0,), (0,) + row, rows[-1])))
+    return _over(den, rows)
 
 
 def _check_c_bivariate(d: int, entries: tuple) -> None:

@@ -14,7 +14,6 @@ from .face_vectors import (
     check_long_short_identity,
     euler_reduced,
     f_vector,
-    hc_from_hsc,
     hsc_from_f,
 )
 from .polytools import (
@@ -71,7 +70,7 @@ def _suite_hsc(it: _Item):
 
 def _suite_hc(it: _Item):
     predicted = hc_of_subdivision(it.hc)
-    actual = hc_from_hsc(hsc_from_f(f_vector(it.sd)))
+    actual = _hc_recursion(hsc_from_f(f_vector(it.sd)))
     yield (
         "hc", predicted == actual,
         f"matrix {list(predicted.entries)} vs subdivision {list(actual.entries)}",

@@ -1,22 +1,24 @@
 """The seed's trial-division root search, Fraction-evaluated C-matrix
-cross-check, term-by-term alternating sums and Fraction matrix-vector
-product, kept as test oracles.
+cross-check, term-by-term alternating sums, Fraction matrix-vector
+product and Fraction-built B and C matrices, kept as test oracles.
 
 ``cubary.rational_roots`` replaced the divisor search with Sturm
 isolation and bisection over integers, ``_check_c_bivariate`` now
 evaluates both sides with integer Horner, ``_c_alternating_sums`` runs
-the recursion its sums satisfy, and ``CoeffMatrix.apply`` multiplies by
-integer-scaled rows with one exact division per entry. The oracles below
-are the seed's code, unchanged but for their names; they take time
-exponential in the coefficient bit size (roots), rebuild every power as a
-``Fraction`` (bivariate check) or take O(d^3) additions (alternating
-sums), so tests feed them small inputs only.
+the recursion its sums satisfy, ``CoeffMatrix.apply`` multiplies by
+integer-scaled rows with one exact division per entry, and ``b_matrix``
+and ``_c_closed_forms`` build integer columns over 2^(d-1) and convert
+each entry once. The oracles below are the seed's code, unchanged but
+for their names; they take time exponential in the coefficient bit size
+(roots), rebuild every power as a ``Fraction`` (bivariate check and the
+matrix builders) or take O(d^3) additions (alternating sums), so tests
+feed them small inputs only.
 """
 
 import math
 from fractions import Fraction
 
-from cubary import RatPoly, b_matrix
+from cubary import CoeffMatrix, RatPoly, b_matrix
 
 
 def rational_roots_oracle(p: RatPoly) -> list[Fraction]:
@@ -122,3 +124,37 @@ def apply_oracle(M, vec) -> tuple:
             s = int(s)
         out.append(s)
     return tuple(out)
+
+
+def _columns_to_rows(cols: list[tuple], size: int) -> tuple:
+    return tuple(tuple(col[i] for col in cols) for i in range(size))
+
+
+def b_matrix_oracle(d: int) -> CoeffMatrix:
+    """Short h-vector transform matrix for complexes with d = dim + 1."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    half = Fraction(1, 2 ** (d - 1))
+    cols = []
+    for j in range(d):
+        p = RatPoly((1, 3)) ** j * RatPoly((3, 1)) ** (d - 1 - j) * half
+        cols.append(p.padded(d))
+    return CoeffMatrix("B", d, _columns_to_rows(cols, d))
+
+
+def c_closed_forms_oracle(d: int) -> tuple:
+    one_plus_x = RatPoly((1, 1))
+    x = RatPoly.x()
+    cols = []
+    # j = 0: (x (x+3)^(d-1) / 2^(d-1) + 1) / (1+x)
+    num = x * RatPoly((3, 1)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + 1
+    cols.append(num.exact_div(one_plus_x).padded(d + 1))
+    # 1 <= j <= d-1: x (3x+1)^(j-1) (x+3)^(d-1-j) / 2^(d-3)
+    scale = Fraction(2) ** (3 - d)
+    for j in range(1, d):
+        p = x * RatPoly((1, 3)) ** (j - 1) * RatPoly((3, 1)) ** (d - 1 - j) * scale
+        cols.append(p.padded(d + 1))
+    # j = d: (x (3x+1)^(d-1) / 2^(d-1) + x^(d+1)) / (1+x)
+    num = x * RatPoly((1, 3)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + x ** (d + 1)
+    cols.append(num.exact_div(one_plus_x).padded(d + 1))
+    return _columns_to_rows(cols, d + 1)

@@ -330,7 +330,8 @@ class TestVerify:
             assert own, suite
             assert run_suites(suite, corpus)["checks"] == own, suite
 
-    def test_hc_closed_form_disagreement_fails_its_record(self, cli, monkeypatch):
+    @pytest.fixture()
+    def hc_closed_off_by_one(self, monkeypatch):
         real = face_vectors._hc_closed_form
 
         def off_by_one(h):
@@ -339,6 +340,8 @@ class TestVerify:
             return closed
 
         monkeypatch.setattr(face_vectors, "_hc_closed_form", off_by_one)
+
+    def test_hc_closed_form_disagreement_fails_its_record(self, cli, hc_closed_off_by_one):
         code, out, err = cli(["verify", "--suite", "identity", "--corpus", "default"])
         assert code == 5
         report = json.loads(out)
@@ -350,6 +353,19 @@ class TestVerify:
             assert int(closed) == int(rec) + 1
         first = failed[0]
         assert err == f"cubary: error: check {first['check']} failed on {first['item']}: {first['detail']}\n"
+
+    @pytest.mark.parametrize("suite, want", [("hc", 0), ("all", 5), ("identity", 5)])
+    def test_hc_closed_form_disagreement_reaches_only_its_record(
+        self, cli, hc_closed_off_by_one, suite, want
+    ):
+        # the hc suite builds its long h-vectors by the recursion alone, so
+        # a closed-form fault fails one record per item instead of exit 4
+        code, out, _ = cli(["verify", "--suite", suite, "--corpus", "default"])
+        assert code == want
+        report = json.loads(out)
+        failed = [(r["item"], r["check"]) for r in report["checks"] if not r["ok"]]
+        check = "identity/hc-recursion-vs-closed"
+        assert failed == ([] if suite == "hc" else [(item, check) for item in report["items"]])
 
 
 class TestLimit:

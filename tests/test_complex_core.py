@@ -71,6 +71,20 @@ class TestGenerators:
         assert f_vector(K).entries == (6, 7, 2)
         assert validate(K).ok
 
+    @pytest.mark.parametrize(
+        "spec, bad",
+        [
+            (VoxelSpec(2, ((0, 0.5),)), "0.5"),
+            (VoxelSpec(2, ((True, 0),)), "True"),
+            (VoxelSpec(1.0, ((0,),)), "1.0"),
+            (VoxelSpec(True, ((0,),)), "True"),
+        ],
+    )
+    def test_non_int_spec_rejected(self, spec, bad):
+        with pytest.raises(ValueError) as exc:
+            from_voxels(spec)
+        assert str(exc.value) == f"voxel spec needs int dimension and coordinates, got {bad}"
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_random_voxel_complexes_validate(self, dim):
         from cubary.corpus import random_voxel_complexes

@@ -7,6 +7,9 @@ Both bivariate checks must accept ``c_matrix`` for d = 1..20 and reject,
 with the same message, a single perturbed entry and two swapped columns.
 The alternating sums over B must equal the oracle's, entry and type, for
 d = 1..30, and ``c_matrix`` must refuse a B that disagrees with them.
+``b_matrix`` and ``c_matrix`` must equal the seed's Fraction builders,
+entry and type, for d = 1..40, and ``coeffs`` must print the bytes it
+printed before the builders moved to integers, at B(200) and C(100).
 ``CoeffMatrix.apply`` must equal the Fraction product, entry and type, for
 B(d) and C(d) at d = 1..30 on int, Fraction and mixed vectors (fixed seed
 and hypothesis), and the transforms must warn exactly when that product
@@ -14,6 +17,7 @@ has a Fraction. The last tests guard the inputs on which the seed's
 routines hung.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -42,7 +46,9 @@ from cubary.cli import main
 from cubary.corpus import random_voxel_complexes
 from exact_oracle import (
     apply_oracle,
+    b_matrix_oracle,
     c_alternating_sums_oracle,
+    c_closed_forms_oracle,
     check_c_bivariate_oracle,
     rational_roots_oracle,
 )
@@ -178,6 +184,32 @@ class TestAlternatingSums:
                 c_matrix(d)
         finally:
             transform.c_matrix.cache_clear()
+
+
+def _types(entries: tuple) -> list:
+    return [list(map(type, row)) for row in entries]
+
+
+class TestIntegerBuilders:
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_equal_the_fraction_builders(self, d):
+        for got, want in (
+            (b_matrix(d).entries, b_matrix_oracle(d).entries),
+            (c_matrix(d).entries, c_closed_forms_oracle(d)),
+        ):
+            assert got == want
+            assert _types(got) == _types(want)
+
+    @pytest.mark.parametrize(
+        "kind, d, digest",
+        [
+            ("B", 200, "cded2ab16e48853f0c0fbc073dadb56fa0175e26c2f32dd21d448c3467d14a04"),
+            ("C", 100, "2a9997f8609d7fb9568dd456c37af57dbef7d11fccffe411a6a0028d52d532d1"),
+        ],
+    )
+    def test_coeffs_stdout_is_unchanged(self, capsys, kind, d, digest):
+        assert main(["coeffs", "--matrix", kind, "-d", str(d)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def _matrix(kind: str, d: int):
