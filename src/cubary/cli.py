@@ -131,7 +131,7 @@ def cmd_gen(args) -> int:
     report = validate(K)
     if not report.ok:
         raise _Failure(EXIT_INVALID, f"generated complex failed validation: {report.violations[0]}")
-    _emit(K.to_json_obj())
+    print(K.to_json())
     return EXIT_OK
 
 
@@ -147,7 +147,7 @@ def cmd_subdivide(args) -> int:
         K = subdivide_n(K, args.n, face_budget=args.budget)
     except FaceBudgetExceeded as exc:
         raise _Failure(EXIT_BUDGET, str(exc)) from exc
-    _emit(K.to_json_obj())
+    print(K.to_json())
     return EXIT_OK
 
 

@@ -191,21 +191,20 @@ class CubicalComplex(_Frozen):
             raise ValueError(f"invalid face id {fid!r}")
 
     def to_json_obj(self) -> dict:
+        faces = enumerate(zip(self.dims, self.covered, self.keys))
         return {
             "dim": self.dim,
-            "faces": [
-                {
-                    "id": i,
-                    "dim": self.dims[i],
-                    "covered": sorted(self.covered[i]),
-                    "key": self.keys[i],
-                }
-                for i in range(len(self.dims))
-            ],
+            "faces": [{"id": i, "dim": d, "covered": sorted(c), "key": k} for i, (d, c, k) in faces],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=None, separators=(",", ":"))
+        """json.dumps(to_json_obj()) with compact separators, one f-string per face."""
+        quote = json.encoder.encode_basestring_ascii
+        faces = ",".join(
+            f'{{"id":{i},"dim":{d},"covered":[{",".join(map(str, sorted(c)))}],"key":{quote(k)}}}'
+            for i, (d, c, k) in enumerate(zip(self.dims, self.covered, self.keys))
+        )
+        return f'{{"dim":{self.dim},"faces":[{faces}]}}'
 
     @classmethod
     def from_json_obj(cls, obj) -> "CubicalComplex":
@@ -228,7 +227,9 @@ class CubicalComplex(_Frozen):
             raise ValueError(f"malformed complex JSON: {exc}") from exc
         if type(declared) is not int:
             raise ValueError(f"malformed complex JSON: dim must be an integer, got {declared!r}")
-        for fid, dim, cov, key in zip(ids, dims, covered, keys):
+        n = len(ids)
+        stray = None  # row of the first face covering an unknown id
+        for r, (fid, dim, cov, key) in enumerate(zip(ids, dims, covered, keys)):
             if type(fid) is not int or type(dim) is not int:
                 raise ValueError(
                     f"malformed complex JSON: face id and dim must be integers, "
@@ -239,11 +240,12 @@ class CubicalComplex(_Frozen):
                     f"malformed complex JSON: face {fid} covered must be a list "
                     f"of integer ids, got {cov!r}"
                 )
+            if cov and stray is None and (min(cov) < 0 or max(cov) >= n):
+                stray = r
             if type(key) is not str:
                 raise ValueError(
                     f"malformed complex JSON: face {fid} key must be a string, got {key!r}"
                 )
-        n = len(ids)
         if not n:
             raise ValueError("empty complexes are not supported")
         # row[fid] is the list position of face fid
@@ -253,14 +255,14 @@ class CubicalComplex(_Frozen):
                 raise ValueError("face ids must be exactly 0..N-1")
             row[fid] = r
         seen = set()
-        for fid, cov, key in zip(ids, covered, keys):
-            for c in cov:
-                if not 0 <= c < n:
-                    raise ValueError(f"face {fid} covers unknown id {c}")
+        for key in keys[:stray]:  # a duplicate key before the stray cover is reported first
             if key in seen:
                 raise ValueError(f"duplicate key {key!r}")
             seen.add(key)
         del seen  # the build below sets decode's peak memory
+        if stray is not None:
+            c = next(c for c in covered[stray] if not 0 <= c < n)
+            raise ValueError(f"face {ids[stray]} covers unknown id {c}")
         K = cls._from_table(
             [dims[r] for r in row], [covered[r] for r in row], [keys[r] for r in row]
         )
@@ -316,8 +318,17 @@ def validate(K: CubicalComplex) -> ValidationReport:
     number of *s. If y covers x, every facet above y is above x, so
     label(x) only fixes more letters than label(y); the dimension check
     makes it exactly one more, so every cover replaces one * by a 0 or a
-    1. A d-face covers 2d faces and there are 2d such replacements, so
-    the covers below M are those of the cube, and hence so is the order.
+    1. Where every cover count holds, a d-face covers 2d faces and there
+    are 2d such replacements, so the covers below M are those of the
+    cube, and hence so is the order.
+
+    Check (ii) intersects no lower sets. For maximal faces a < b sharing
+    vertices, a a cube, let c be the face of a labelled by the AND of a's
+    labels of the common vertices: the smallest face of a above them all.
+    Every common subface has its vertices among the common ones, so lies
+    below c in a's cube: if c <= b, c is the unique maximum. A unique
+    maximum m lies above every common vertex, so c <= m <= b. Only pairs
+    failing c <= b, or with no cube lattice below a, are scanned.
 
     Why (ii) on pairs of maximal faces is enough: in a cube lattice two
     faces meet in one face or not at all. Take faces a <= A and b <= B
@@ -331,125 +342,114 @@ def validate(K: CubicalComplex) -> ValidationReport:
     2^(j-k)*C(j,k) subfaces of dimension k.
     """
     v: list[str] = []
-    n = len(K.dims)
-
-    order = [(K.dims[i], K.keys[i]) for i in range(n)]
-    if order != sorted(order):
+    dims, covered, keys = K.dims, K.covered, K.keys
+    # sorted iff each neighbouring pair is
+    if any(d > e or d == e and k > l for d, e, k, l in zip(dims, dims[1:], keys, keys[1:])):
         v.append("faces are not in canonical (dim, key) order")
-
-    graded = True
-    for i in range(n):
-        d = K.dims[i]
+    graded, miscounted = True, []
+    for i, (d, cov) in enumerate(zip(dims, covered)):
         if d < 0:
             v.append(f"face {i} has negative dimension {d}")
             graded = False
-        if d == 0 and K.covered[i]:
-            v.append(f"vertex {i} covers faces {sorted(K.covered[i])}")
+        if d == 0 and cov:
+            v.append(f"vertex {i} covers faces {sorted(cov)}")
             graded = False
-        for c in K.covered[i]:
+        for c in cov:
             if c == i:
                 v.append(f"face {i} covers itself")
                 graded = False
-            elif K.dims[c] != d - 1:
-                v.append(
-                    f"face {i} (dim {d}) covers face {c} of dim {K.dims[c]}"
-                )
+            elif dims[c] != d - 1:
+                v.append(f"face {i} (dim {d}) covers face {c} of dim {dims[c]}")
                 graded = False
-        if d > 0 and not K.covered[i]:
+        if d > 0 and not cov:
             v.append(f"face {i} of dim {d} covers nothing")
-
-    for i in range(n):
-        j = K.dims[i]
-        if j > 0 and len(K.covered[i]) != 2 * j:
-            v.append(
-                f"face {i} of dim {j} covers {len(K.covered[i])} faces, "
-                f"expected 2*{j}"
-            )
-
+        if d > 0 and len(cov) != 2 * d:
+            miscounted.append(f"face {i} of dim {d} covers {len(cov)} faces, expected 2*{d}")
+    v += miscounted
     if not graded:
         return ValidationReport(False, tuple(v))
 
-    covered_somewhere = set().union(*K.covered)
-    lower: dict[int, frozenset[int]] = {}
-    tops_at_vertex: dict[int, list[int]] = {}
-    for top in range(n):
-        if top in covered_somewhere:
-            continue
-        below = K.lower_set(top)
-        lower[top] = below
-        problem = _cube_lattice_problem(K, top, below)
-        if problem:
-            v.append(f"face {top} of dim {K.dims[top]} is not a cube: {problem}")
-        for f in below:
-            if K.dims[f] == 0:
-                tops_at_vertex.setdefault(f, []).append(top)
+    tops: dict[int, tuple] = {}  # maximal face -> _cube_labels()
+    star: dict[int, list[int]] = {}  # vertex -> maximal faces above it, ascending
+    for top in sorted(set(range(len(dims))).difference(*covered)):
+        tops[top] = _, vertices, coords = _cube_labels(K, top)
+        if type(coords) is str:
+            v.append(f"face {top} of dim {dims[top]} is not a cube: {coords}")
+        for u in vertices:
+            star.setdefault(u, []).append(top)
 
-    pairs = set()
-    for tops in tops_at_vertex.values():
-        pairs.update(itertools.combinations(tops, 2))
-    for a, b in sorted(pairs):
-        common = lower[a] & lower[b]
-        # common is a down-set, so its maximal elements are those not
-        # covered by another of its elements
-        dominated = set()
-        for f in common:
-            dominated |= K.covered[f] & common
-        maximal = common - dominated
-        if len(maximal) > 1:
-            v.append(
-                f"faces {a} and {b} have {len(maximal)} maximal common "
-                f"subfaces {sorted(maximal)}"
-            )
-
+    for a, (label, vertices, coords) in tops.items():
+        vouched = not miscounted and type(coords) is dict
+        meet: dict[int, int] = {}  # partner b > a -> AND of a's common vertex labels
+        for u in vertices:
+            for b in star[u][star[u].index(a) + 1 :]:
+                meet[b] = meet.get(b, label[u]) & label[u]
+        for b in sorted(meet):
+            if vouched and coords[meet[b]] in tops[b][0]:
+                continue
+            # a down-set's maximal elements are those no other covers
+            common = label.keys() & tops[b][0].keys()
+            maximal = common.difference(*(covered[f] for f in common))
+            if len(maximal) > 1:
+                v.append(f"faces {a} and {b} have {len(maximal)} maximal common subfaces {sorted(maximal)}")
     return ValidationReport(not v, tuple(v))
 
 
-def _cube_lattice_problem(
-    K: CubicalComplex, top: int, below: frozenset[int]
-) -> str | None:
-    """Why the lower set `below` of `top` is not a cube's face lattice.
+def _cube_labels(K: CubicalComplex, top: int) -> tuple[dict, list, dict | str]:
+    """(label, vertices, coords) of the faces below `top`; see validate().
 
-    Returns None when it is one; see check (i) in validate(). Assumes a
-    graded complex, so sorting by dimension orders every cover.
+    label maps each face below top, top included, to the bitmask of
+    top's facets above it, bit k for the k-th smallest facet id; coords
+    maps each label back to its face, or says why these faces are not a
+    cube's face lattice. The pass goes level by level, so K must be graded.
     """
-    j = K.dims[top]
+    dims, covered = K.dims, K.covered
+    j = dims[top]
+    facets = sorted(covered[top])
+    label = {top: 0, **{f: 1 << k for k, f in enumerate(facets)}}
+    level = facets if j else [top]
+    off = False  # a face whose label does not fix j - dim letters
+    for fixed in range(1, j):  # level holds the faces of dim j - fixed
+        if not level:  # a face that covers nothing; 3^j may be huge
+            break
+        nxt = []
+        for y in level:
+            m = label[y]
+            off |= m.bit_count() != fixed
+            for c in covered[y]:
+                if c in label:
+                    label[c] |= m
+                else:
+                    label[c] = m
+                    nxt.append(c)
+        level = nxt
     # facets first: 2j distinct facets keep 3^j polynomial in the face count
-    facets = sorted(K.covered[top])
     if len(facets) != 2 * j:
-        return f"{len(facets)} facets, expected {2 * j}"
-    if len(below) != 3**j:
-        return f"{len(below)} faces below it, expected 3^{j}"
-    above = dict.fromkeys(below, 0)  # bit k set: below facets[k]
-    for k, f in enumerate(facets):
-        above[f] = 1 << k
-    for y in sorted(below, key=K.dims.__getitem__, reverse=True):
-        for c in K.covered[y]:
-            above[c] |= above[y]
-
+        return label, level, f"{len(facets)} facets, expected {2 * j}"
+    if len(label) != 3**j:
+        return label, level, f"{len(label)} faces below it, expected 3^{j}"
     touching = [0] * (2 * j)  # facets sharing a vertex with facets[k]
-    for f in below:
-        if K.dims[f] == 0:
-            for k in range(2 * j):
-                if above[f] >> k & 1:
-                    touching[k] |= above[f]
+    for m in map(label.__getitem__, level):
+        off |= m.bit_count() != j
+        for k in range(2 * j):
+            if m >> k & 1:
+                touching[k] |= m
     everything = (1 << 2 * j) - 1
     for k in range(2 * j):
         opp = everything & ~touching[k]
         if opp.bit_count() != 1 or everything & ~touching[opp.bit_length() - 1] != 1 << k:
-            return f"facet {facets[k]} has no unique opposite facet"
+            return label, level, f"facet {facets[k]} has no unique opposite facet"
 
     # No face lies below both facets of an opposite pair, since its
     # vertices would. Where the cover counts hold every face has a vertex;
     # where they fail validate() has already reported it.
-    labels = set()
-    for f in below:
-        m = above[f]
-        if K.dims[f] != j - m.bit_count():
-            return f"face {f} of dim {K.dims[f]} has {j - m.bit_count()} free coordinates"
-        labels.add(m)
-    if len(labels) != len(below):
-        return "two faces below it get the same cube coordinates"
-    return None
+    if off:  # name the first such face in lower_set()'s order
+        f = next(f for f in K.lower_set(top) if dims[f] + label[f].bit_count() != j)
+        return label, level, f"face {f} of dim {dims[f]} has {j - label[f].bit_count()} free coordinates"
+    coords = {m: f for f, m in label.items()}
+    if len(coords) != len(label):
+        return label, level, "two faces below it get the same cube coordinates"
+    return label, level, coords
 
 
 def _cube_faces(ambient: int, corners: Iterable[tuple[int, ...]]) -> tuple[list, list, list]:

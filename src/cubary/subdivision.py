@@ -8,10 +8,13 @@ dim(G) - dim(F); the result has the same dimension as the input.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ._base import DEFAULT_FACE_BUDGET
 from .complex_core import CubicalComplex
-from .face_vectors import FVector, f_vector
-from .transform import f_of_subdivision
+
+if TYPE_CHECKING:
+    from .face_vectors import FVector
 
 # A step may also hold at most this many key characters per budgeted face,
 # counted as projected faces times the projected longest key. Keys double
@@ -51,24 +54,28 @@ class FaceBudgetExceeded(RuntimeError):
 def subdivide(K: CubicalComplex) -> CubicalComplex:
     """One round of cubical barycentric subdivision.
 
-    Intervals [F, G] are numbered once as id pairs (f, g) and keyed by the
-    pair of the constituent keys. Covered faces are [F', G] for each F'
-    covering F inside G, and [F, G'] for each G' covered by G with F below
-    it; both kinds are read off the input's cover relation directly.
+    Intervals [F, G] are numbered through one dict per face g, ids[g][f],
+    and keyed by the pair of the constituent keys. Covered faces are
+    [F', G] for each F' covering F inside G, and [F, G'] for each G'
+    covered by G with F below it; both kinds are read off the input's
+    cover relation directly.
     """
-    lower = K.all_lower_sets()
     parents = K.parents()
-    interval: dict[tuple[int, int], int] = {}
-    for g in range(len(K)):
-        for f in lower[g]:
-            interval[f, g] = len(interval)
-    dims = [K.dims[g] - K.dims[f] for f, g in interval]
-    covered = [
-        [interval[f2, g] for f2 in parents[f] if f2 in lower[g]]
-        + [interval[f, g2] for g2 in K.covered[g] if f in lower[g2]]
-        for f, g in interval
-    ]
-    keys = [f"[{K.keys[f]}|{K.keys[g]}]" for f, g in interval]
+    ids: list[dict[int, int]] = []
+    total = 0
+    for below in K.all_lower_sets():
+        ids.append(dict(zip(below, range(total, total + len(below)))))
+        total += len(below)
+    dims, covered, keys = [], [], []
+    for g, in_g in enumerate(ids):
+        dim_g, key_g, sub_g = K.dims[g], K.keys[g], [ids[g2] for g2 in K.covered[g]]
+        for f in in_g:
+            dims.append(dim_g - K.dims[f])
+            covered.append(
+                [in_g[f2] for f2 in parents[f] if f2 in in_g]
+                + [in_g2[f] for in_g2 in sub_g if f in in_g2]
+            )
+            keys.append(f"[{K.keys[f]}|{key_g}]")
     return CubicalComplex._from_table(dims, covered, keys)
 
 
@@ -78,24 +85,30 @@ def subdivide_n(
     """n-fold subdivision by explicit construction.
 
     Before each step the face count of the result is projected from the
-    current f-vector, and its longest key from the current one: the key
-    of [F|F] for the longest key F has 2 len(F) + 3 characters, and no
-    key is longer. A step whose faces exceed face_budget, or whose faces
-    times longest key exceed KEY_CHARS_PER_FACE * face_budget, raises
+    current complex as sum_j 3^j f_j, since each j-face has 3^j faces
+    below it, and its longest key from the current one: the key of [F|F]
+    for the longest key F has 2 len(F) + 3 characters, and no key is
+    longer. A step whose faces exceed face_budget, or whose faces times
+    longest key exceed KEY_CHARS_PER_FACE * face_budget, raises
     FaceBudgetExceeded without constructing anything. n=0 returns K
     unchanged.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    f = f_vector(K)
     max_key = max(map(len, K.keys), default=0)
     for step in range(1, n + 1):
-        f = f_of_subdivision(f)
+        f = [0] * (K.dim + 1)
+        for d in K.dims:
+            f[d] += 1
         max_key = 2 * max_key + 3
-        total = sum(f.entries)
-        if total > face_budget:
-            raise FaceBudgetExceeded(step, f, face_budget)
-        if total * max_key > KEY_CHARS_PER_FACE * face_budget:
-            raise FaceBudgetExceeded(step, f, face_budget, max_key)
+        total = sum(3**j * f_j for j, f_j in enumerate(f))
+        if total > face_budget or total * max_key > KEY_CHARS_PER_FACE * face_budget:
+            from .face_vectors import FVector
+            from .transform import f_of_subdivision
+
+            projected = f_of_subdivision(FVector(f))
+            if total > face_budget:
+                raise FaceBudgetExceeded(step, projected, face_budget)
+            raise FaceBudgetExceeded(step, projected, face_budget, max_key)
         K = subdivide(K)
     return K

@@ -637,7 +637,9 @@ class TestStartup:
              _layers("complex_core", "subdivision", "verify", "corpus")),
             (["vectors"], gen_cube_boundary(3).to_json(),
              _layers("transform", "subdivision", "verify", "corpus")),
-            (["subdivide", "-n", "1"], gen_cube_boundary(3).to_json(), _layers("verify", "corpus")),
+            (["subdivide", "-n", "1"], gen_cube_boundary(3).to_json(),
+             [*_layers("polytools", "face_vectors", "transform", "verify", "corpus"),
+              "fractions", "decimal"]),
             (["limit", "--max-n", "3"], gen_cube_boundary(3).to_json(),
              _layers("subdivision", "verify", "corpus")),
             (["mine", "--target", "realroot", "--dim", "2", "--trials", "20", "--seed", "4"], "",

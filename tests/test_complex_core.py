@@ -1,8 +1,11 @@
 import json
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubary import (
     CubicalComplex,
@@ -247,6 +250,38 @@ class TestSerialization:
             random.Random(2011).shuffle(obj["faces"])
             K2 = CubicalComplex.from_json_obj(obj)
             assert K2.to_json_obj() == K.to_json_obj()
+
+    # keys quoted, escaped, past ASCII, past the BMP and unpaired surrogates
+    AWKWARD_KEYS = ['a"b', "c\\d", "\x00\x1f\n\t\x7f", "é", "\u2028ß", "\U0001f600", "\ud800", "x\udfff"]
+
+    @staticmethod
+    def _assert_encodes_like_json_dumps(keys):
+        """Vertices under `keys`, and one edge over the first two."""
+        faces = {k: (0, []) for k in keys}
+        faces[max(keys) + "!"] = (1, keys[:2])
+        K = CubicalComplex.from_keyed_faces(faces)
+        text = K.to_json()
+        assert text == json.dumps(K.to_json_obj(), separators=(",", ":"))
+        K2 = CubicalComplex.from_json(text)
+        assert (K2.dims, K2.covered, K2.keys) == (K.dims, K.covered, K.keys)
+
+    def test_to_json_escapes_keys_like_json_dumps(self):
+        self._assert_encodes_like_json_dumps(self.AWKWARD_KEYS)
+        self._assert_encodes_like_json_dumps(self.AWKWARD_KEYS[::-1])
+
+    # JSON spells a high surrogate followed by a low one as the character
+    # past the BMP that they encode, so only unpaired surrogates round-trip
+    PAIRED_SURROGATES = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(keys=st.lists(
+        st.text(st.characters() | st.characters(categories=["Cs"])).filter(
+            lambda k: not TestSerialization.PAIRED_SURROGATES.search(k)
+        ),
+        min_size=2, unique=True,
+    ))
+    def test_to_json_escapes_any_key(self, keys):
+        self._assert_encodes_like_json_dumps(keys)
 
     @pytest.mark.parametrize(
         "mutate",

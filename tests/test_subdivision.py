@@ -2,6 +2,7 @@ import pytest
 
 from cubary import (
     FaceBudgetExceeded,
+    FVector,
     VoxelSpec,
     euler_reduced,
     f_of_subdivision,
@@ -100,7 +101,10 @@ class TestSubdivideN:
             subdivide_n(K, 9, face_budget=1000)
         assert exc.value.step == 3
         assert sum(exc.value.projected.entries) == 1538
-        assert "1538" in str(exc.value)
+        assert exc.value.projected == f_of_subdivision(f_of_subdivision(f_of_subdivision(f_vector(K))))
+        assert str(exc.value) == (
+            "subdivision step 3 projects 1538 faces (f = [386, 768, 384]), exceeding the budget of 1000"
+        )
 
     def test_key_length_budget(self):
         # a point stays one face while its key grows from 1 to 2^(n+2) - 3
@@ -109,7 +113,11 @@ class TestSubdivideN:
             subdivide_n(gen_cube(0), 100, face_budget=1000)
         assert exc.value.step == 13
         assert exc.value.max_key == 2**15 - 3
-        assert "32765" in str(exc.value)
+        assert exc.value.projected == FVector((1,))
+        assert str(exc.value) == (
+            "subdivision step 13 projects 1 faces (f = [1]) with keys of up to 32765 characters, "
+            "exceeding 25 key characters per face of the budget of 1000"
+        )
         assert len(subdivide_n(gen_cube(0), 12, face_budget=1000).keys[0]) == 2**14 - 3
 
     def test_budget_checked_before_construction(self):
