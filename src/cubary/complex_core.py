@@ -1,8 +1,8 @@
 """Cubical complexes as graded face posets.
 
-A complex is stored purely combinatorially: each face has a dimension, a
-set of covered faces (its codimension-1 subfaces), and a canonical key
-string. Faces get dense ids 0..N-1 assigned in canonical order, i.e.
+A complex is stored purely combinatorially: each face has a dimension,
+a sorted tuple of the ids it covers (its codimension-1 subfaces), and a
+canonical key. Faces get dense ids 0..N-1 in canonical order, i.e.
 sorted by (dimension, key). The empty face is implicit and never stored.
 """
 
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
+import re
 from typing import Iterable, Mapping
 
 from ._base import _Frozen, _Record
@@ -66,43 +68,49 @@ class CubicalComplex(_Frozen):
     Attributes
     ----------
     dims:    face dimension per id
-    covered: frozenset of covered (codim-1) face ids per id
+    covered: frozenset of covered (codim-1) face ids per id, built on first
+             access from the sorted id tuples the complex stores
     keys:    canonical key string per id
     """
 
-    __slots__ = ("dims", "covered", "keys")
+    __slots__ = ("dims", "_cov", "keys", "_covered")
 
     def __init__(self, dims, covered, keys):
         dims = tuple(dims)
-        covered = tuple(frozenset(c) for c in covered)
+        cov = tuple(map(tuple, map(sorted, map(set, covered))))
         keys = tuple(keys)
         if not dims:
             raise ValueError("empty complexes are not supported")
-        if not (len(dims) == len(covered) == len(keys)):
+        if not (len(dims) == len(cov) == len(keys)):
             raise ValueError("inconsistent face table lengths")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "covered", covered)
+        object.__setattr__(self, "_cov", cov)
         object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "_covered", None)
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate canonical keys")
+
+    @property
+    def covered(self) -> tuple[frozenset[int], ...]:
+        if self._covered is None:
+            object.__setattr__(self, "_covered", tuple(map(frozenset, self._cov)))
+        return self._covered
 
     @classmethod
     def _from_table(cls, dims, covered, keys) -> "CubicalComplex":
         """Build from a face table in any order, canonicalizing ids.
 
-        Row i is face i: its dim, the rows it covers, and its key. Rows are
-        sorted by (dim, key) and covers renumbered to match. Every builder
-        of a complex ends here.
+        Row i is face i: its dim, the rows it covers, and its key. Rows out
+        of (dim, key) order are sorted and covers renumbered to match.
+        Every builder of a complex ends here.
         """
-        # two stable sorts, so no (dim, key) tuple is built per face
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        order.sort(key=dims.__getitem__)
-        new_id = [0] * len(order)
-        for i, old in enumerate(order):
-            new_id[old] = i
+        # zip reuses its result tuple, so the check builds no tuple per face
+        if not any(map(operator.gt, zip(dims, keys), itertools.islice(zip(dims, keys), 1, None))):
+            return cls(dims, covered, keys)
+        order, new_id = _canonical_order(dims, keys)
         return cls(
             [dims[i] for i in order],
-            [frozenset(map(new_id.__getitem__, covered[i])) for i in order],
+            [map(new_id.__getitem__, covered[i]) for i in order],
             [keys[i] for i in order],
         )
 
@@ -133,7 +141,7 @@ class CubicalComplex(_Frozen):
         seen = {fid}
         stack = [fid]
         while stack:
-            for c in self.covered[stack.pop()]:
+            for c in self._cov[stack.pop()]:
                 if c not in seen:
                     seen.add(c)
                     stack.append(c)
@@ -150,21 +158,13 @@ class CubicalComplex(_Frozen):
         for i in range(len(self.dims)):
             acc = {i}
             ok = True
-            for c in self.covered[i]:
+            for c in self._cov[i]:
                 if c >= i or out[c] is None:
                     ok = False
                     break
                 acc |= out[c]
             out[i] = frozenset(acc) if ok else self.lower_set(i)
         return out  # type: ignore[return-value]
-
-    def parents(self) -> list[frozenset[int]]:
-        """Ids of faces covering each face (upward cover adjacency)."""
-        up: list[set[int]] = [set() for _ in self.dims]
-        for i, cov in enumerate(self.covered):
-            for c in cov:
-                up[c].add(i)
-        return [frozenset(s) for s in up]
 
     def leq(self, a: int, b: int) -> bool:
         """True iff face a is a subface of (or equal to) face b."""
@@ -178,7 +178,7 @@ class CubicalComplex(_Frozen):
         seen = {b}
         stack = [b]
         while stack:
-            for c in self.covered[stack.pop()]:
+            for c in self._cov[stack.pop()]:
                 if c == a:
                     return True
                 if c not in seen and self.dims[c] > target_dim:
@@ -190,19 +190,27 @@ class CubicalComplex(_Frozen):
         if not isinstance(fid, int) or not 0 <= fid < len(self.dims):
             raise ValueError(f"invalid face id {fid!r}")
 
+    def _json_keys(self) -> tuple[str, ...]:
+        """The keys; JSON would read a surrogate pair back as one character."""
+        for i, k in enumerate(() if "".join(self.keys).isascii() else self.keys):
+            if re.search("[\ud800-\udbff][\udc00-\udfff]", k):
+                raise ValueError(f"face {i} key {k!r} holds a surrogate pair, which JSON cannot keep")
+        return self.keys
+
     def to_json_obj(self) -> dict:
-        faces = enumerate(zip(self.dims, self.covered, self.keys))
+        faces = enumerate(zip(self.dims, self._cov, self._json_keys()))
         return {
             "dim": self.dim,
-            "faces": [{"id": i, "dim": d, "covered": sorted(c), "key": k} for i, (d, c, k) in faces],
+            "faces": [{"id": i, "dim": d, "covered": list(c), "key": k} for i, (d, c, k) in faces],
         }
 
     def to_json(self) -> str:
         """json.dumps(to_json_obj()) with compact separators, one f-string per face."""
         quote = json.encoder.encode_basestring_ascii
+        ids = list(map(str, range(len(self.dims))))  # each id rendered once
         faces = ",".join(
-            f'{{"id":{i},"dim":{d},"covered":[{",".join(map(str, sorted(c)))}],"key":{quote(k)}}}'
-            for i, (d, c, k) in enumerate(zip(self.dims, self.covered, self.keys))
+            f'{{"id":{i},"dim":{d},"covered":[{",".join(map(ids.__getitem__, c))}],"key":{quote(k)}}}'
+            for i, d, c, k in zip(ids, self.dims, self._cov, self._json_keys())
         )
         return f'{{"dim":{self.dim},"faces":[{faces}]}}'
 
@@ -215,57 +223,57 @@ class CubicalComplex(_Frozen):
         for validate(). Ids and dims must be JSON integers, not floats or
         booleans; covered must be a list of ids and key a string.
         """
-        ids, dims, covered, keys = [], [], [], []
         try:
             declared = obj["dim"]
-            for f in obj["faces"]:
-                ids.append(f["id"])
-                dims.append(f["dim"])
-                covered.append(f["covered"])
-                keys.append(f["key"])
+            rows = list(map(operator.itemgetter("id", "dim", "covered", "key"), obj["faces"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed complex JSON: {exc}") from exc
         if type(declared) is not int:
             raise ValueError(f"malformed complex JSON: dim must be an integer, got {declared!r}")
-        n = len(ids)
-        stray = None  # row of the first face covering an unknown id
-        for r, (fid, dim, cov, key) in enumerate(zip(ids, dims, covered, keys)):
-            if type(fid) is not int or type(dim) is not int:
-                raise ValueError(
-                    f"malformed complex JSON: face id and dim must be integers, "
-                    f"got id {fid!r} and dim {dim!r}"
-                )
-            if type(cov) is not list or not all(type(c) is int for c in cov):
-                raise ValueError(
-                    f"malformed complex JSON: face {fid} covered must be a list "
-                    f"of integer ids, got {cov!r}"
-                )
-            if cov and stray is None and (min(cov) < 0 or max(cov) >= n):
-                stray = r
-            if type(key) is not str:
-                raise ValueError(
-                    f"malformed complex JSON: face {fid} key must be a string, got {key!r}"
-                )
-        if not n:
+        if not rows:
             raise ValueError("empty complexes are not supported")
-        # row[fid] is the list position of face fid
-        row = [None] * n
-        for r, fid in enumerate(ids):
-            if not 0 <= fid < n or row[fid] is not None:
-                raise ValueError("face ids must be exactly 0..N-1")
-            row[fid] = r
-        seen = set()
-        for key in keys[:stray]:  # a duplicate key before the stray cover is reported first
-            if key in seen:
-                raise ValueError(f"duplicate key {key!r}")
-            seen.add(key)
-        del seen  # the build below sets decode's peak memory
-        if stray is not None:
-            c = next(c for c in covered[stray] if not 0 <= c < n)
-            raise ValueError(f"face {ids[stray]} covers unknown id {c}")
-        K = cls._from_table(
-            [dims[r] for r in row], [covered[r] for r in row], [keys[r] for r in row]
-        )
+        ids, dims, covered, keys = zip(*rows)
+        del rows  # fewer live containers for the collector to walk while the complex is built
+        n = len(ids)
+        # the checks in bulk; the row loop below names the first fault
+        flat = [*itertools.chain.from_iterable(c for c in covered if type(c) is list)]
+        types = [set(map(type, col)) for col in (itertools.chain(ids, dims, flat), covered, keys)]
+        if (types != [{int}, {list}, {str}] or min(flat, default=0) < 0 or max(flat, default=0) >= n
+                or ids != tuple(range(n)) or len(set(keys)) < n):
+            stray = None  # row of the first face covering an unknown id
+            for r, (fid, dim, cov, key) in enumerate(zip(ids, dims, covered, keys)):
+                if type(fid) is not int or type(dim) is not int:
+                    raise ValueError(
+                        f"malformed complex JSON: face id and dim must be integers, "
+                        f"got id {fid!r} and dim {dim!r}"
+                    )
+                if type(cov) is not list or not all(type(c) is int for c in cov):
+                    raise ValueError(
+                        f"malformed complex JSON: face {fid} covered must be a list "
+                        f"of integer ids, got {cov!r}"
+                    )
+                if cov and stray is None and (min(cov) < 0 or max(cov) >= n):
+                    stray = r
+                if type(key) is not str:
+                    raise ValueError(
+                        f"malformed complex JSON: face {fid} key must be a string, got {key!r}"
+                    )
+            # row[fid] is the list position of face fid
+            row = [None] * n
+            for r, fid in enumerate(ids):
+                if not 0 <= fid < n or row[fid] is not None:
+                    raise ValueError("face ids must be exactly 0..N-1")
+                row[fid] = r
+            seen = set()
+            for key in keys[:stray]:  # a duplicate key before the stray cover is reported first
+                if key in seen:
+                    raise ValueError(f"duplicate key {key!r}")
+                seen.add(key)
+            if stray is not None:
+                c = next(c for c in covered[stray] if not 0 <= c < n)
+                raise ValueError(f"face {ids[stray]} covers unknown id {c}")
+            dims, covered, keys = ([col[r] for r in row] for col in (dims, covered, keys))
+        K = cls._from_table(dims, covered, keys)
         if K.dim != declared:
             raise ValueError(f"declared dim {declared} != max face dim {K.dim}")
         return K
@@ -282,6 +290,17 @@ class CubicalComplex(_Frozen):
 
     def __repr__(self):
         return f"<CubicalComplex dim={self.dim} faces={len(self.dims)}>"
+
+
+def _canonical_order(dims, keys) -> tuple[list[int], list[int]]:
+    """(order, new_id): the rows sorted by (dim, key), and each row's place there."""
+    # two stable sorts, so no (dim, key) tuple is built per face
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    order.sort(key=dims.__getitem__)
+    new_id = [0] * len(order)
+    for i, old in enumerate(order):
+        new_id[old] = i
+    return order, new_id
 
 
 class ValidationReport(_Record):
@@ -342,18 +361,22 @@ def validate(K: CubicalComplex) -> ValidationReport:
     2^(j-k)*C(j,k) subfaces of dimension k.
     """
     v: list[str] = []
-    dims, covered, keys = K.dims, K.covered, K.keys
+    dims, covered, keys = K.dims, K._cov, K.keys
     # sorted iff each neighbouring pair is
-    if any(d > e or d == e and k > l for d, e, k, l in zip(dims, dims[1:], keys, keys[1:])):
+    if any(map(operator.gt, zip(dims, keys), itertools.islice(zip(dims, keys), 1, None))):
         v.append("faces are not in canonical (dim, key) order")
     graded, miscounted = True, []
     for i, (d, cov) in enumerate(zip(dims, covered)):
         if d < 0:
             v.append(f"face {i} has negative dimension {d}")
             graded = False
-        if d == 0 and cov:
-            v.append(f"vertex {i} covers faces {sorted(cov)}")
+        elif d == 0 and cov:
+            v.append(f"vertex {i} covers faces {list(cov)}")
             graded = False
+        elif d > 0 and len(cov) != 2 * d:
+            if not cov:
+                v.append(f"face {i} of dim {d} covers nothing")
+            miscounted.append(f"face {i} of dim {d} covers {len(cov)} faces, expected 2*{d}")
         for c in cov:
             if c == i:
                 v.append(f"face {i} covers itself")
@@ -361,10 +384,6 @@ def validate(K: CubicalComplex) -> ValidationReport:
             elif dims[c] != d - 1:
                 v.append(f"face {i} (dim {d}) covers face {c} of dim {dims[c]}")
                 graded = False
-        if d > 0 and not cov:
-            v.append(f"face {i} of dim {d} covers nothing")
-        if d > 0 and len(cov) != 2 * d:
-            miscounted.append(f"face {i} of dim {d} covers {len(cov)} faces, expected 2*{d}")
     v += miscounted
     if not graded:
         return ValidationReport(False, tuple(v))
@@ -382,7 +401,8 @@ def validate(K: CubicalComplex) -> ValidationReport:
         vouched = not miscounted and type(coords) is dict
         meet: dict[int, int] = {}  # partner b > a -> AND of a's common vertex labels
         for u in vertices:
-            for b in star[u][star[u].index(a) + 1 :]:
+            del star[u][0]  # a itself, as tops are walked in ascending order
+            for b in star[u]:
                 meet[b] = meet.get(b, label[u]) & label[u]
         for b in sorted(meet):
             if vouched and coords[meet[b]] in tops[b][0]:
@@ -403,9 +423,9 @@ def _cube_labels(K: CubicalComplex, top: int) -> tuple[dict, list, dict | str]:
     maps each label back to its face, or says why these faces are not a
     cube's face lattice. The pass goes level by level, so K must be graded.
     """
-    dims, covered = K.dims, K.covered
+    dims, covered = K.dims, K._cov
     j = dims[top]
-    facets = sorted(covered[top])
+    facets = covered[top]
     label = {top: 0, **{f: 1 << k for k, f in enumerate(facets)}}
     level = facets if j else [top]
     off = False  # a face whose label does not fix j - dim letters
@@ -431,9 +451,10 @@ def _cube_labels(K: CubicalComplex, top: int) -> tuple[dict, list, dict | str]:
     touching = [0] * (2 * j)  # facets sharing a vertex with facets[k]
     for m in map(label.__getitem__, level):
         off |= m.bit_count() != j
-        for k in range(2 * j):
-            if m >> k & 1:
-                touching[k] |= m
+        rest = m
+        while rest:  # each facet above the vertex, lowest bit first
+            touching[(rest & -rest).bit_length() - 1] |= m
+            rest &= rest - 1
     everything = (1 << 2 * j) - 1
     for k in range(2 * j):
         opp = everything & ~touching[k]

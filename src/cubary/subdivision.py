@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._base import DEFAULT_FACE_BUDGET
-from .complex_core import CubicalComplex
+from .complex_core import CubicalComplex, _canonical_order
 
 if TYPE_CHECKING:
     from .face_vectors import FVector
@@ -54,29 +54,28 @@ class FaceBudgetExceeded(RuntimeError):
 def subdivide(K: CubicalComplex) -> CubicalComplex:
     """One round of cubical barycentric subdivision.
 
-    Intervals [F, G] are numbered through one dict per face g, ids[g][f],
-    and keyed by the pair of the constituent keys. Covered faces are
-    [F', G] for each F' covering F inside G, and [F, G'] for each G'
-    covered by G with F below it; both kinds are read off the input's
-    cover relation directly.
+    Interval [F, G] covers [X, G] for each X <= G covering F, and
+    [F, G'] for each G' covered by G with F <= G'. Intervals are keyed by
+    the pair of the constituent keys and sorted first, so each cover is
+    written once, in final ids, through one dict per face g, ids[g][f].
     """
-    parents = K.parents()
-    ids: list[dict[int, int]] = []
-    total = 0
-    for below in K.all_lower_sets():
-        ids.append(dict(zip(below, range(total, total + len(below)))))
-        total += len(below)
-    dims, covered, keys = [], [], []
+    lower = K.all_lower_sets()
+    dims, keys = [], []
+    for below, dim_g, key_g in zip(lower, K.dims, K.keys):
+        dims += [dim_g - K.dims[f] for f in below]
+        keys += [f"[{K.keys[f]}|{key_g}]" for f in below]
+    order, final = _canonical_order(dims, keys)
+    run = iter(final)  # zip draws from `below` first, so each takes its own run
+    ids = [dict(zip(below, run)) for below in lower]
+    covered: list[list[int]] = [[] for _ in order]
     for g, in_g in enumerate(ids):
-        dim_g, key_g, sub_g = K.dims[g], K.keys[g], [ids[g2] for g2 in K.covered[g]]
-        for f in in_g:
-            dims.append(dim_g - K.dims[f])
-            covered.append(
-                [in_g[f2] for f2 in parents[f] if f2 in in_g]
-                + [in_g2[f] for in_g2 in sub_g if f in in_g2]
-            )
-            keys.append(f"[{K.keys[f]}|{key_g}]")
-    return CubicalComplex._from_table(dims, covered, keys)
+        for x, i in in_g.items():
+            for c in K._cov[x]:
+                covered[in_g[c]].append(i)
+        for g2 in K._cov[g]:
+            for f, i in ids[g2].items():
+                covered[in_g[f]].append(i)
+    return CubicalComplex([dims[i] for i in order], covered, [keys[i] for i in order])
 
 
 def subdivide_n(

@@ -96,7 +96,10 @@ def subdivide_oracle(K: CubicalComplex) -> CubicalComplex:
     off the input's cover relation directly.
     """
     lower = K.all_lower_sets()
-    parents = K.parents()
+    parents = [set() for _ in range(len(K))]  # faces covering each face
+    for g in range(len(K)):
+        for c in K.covered[g]:
+            parents[c].add(g)
     keys = K.keys
 
     def ikey(f: int, g: int) -> str:

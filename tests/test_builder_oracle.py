@@ -100,14 +100,63 @@ def _decoded(decode, obj):
         return f"ValueError: {exc}"
 
 
+def _one_face_moved_last(obj, r):
+    """obj with face r listed last and ids renumbered to list positions,
+    so the ids run 0..N-1 but are out of canonical order."""
+    n = len(obj["faces"])
+    new_id = {i: i - (i > r) for i in range(n)}
+    new_id[r] = n - 1
+    faces = obj["faces"][:r] + obj["faces"][r + 1 :] + [obj["faces"][r]]
+    return dict(obj, faces=[
+        dict(f, id=new_id[f["id"]], covered=[new_id[c] for c in f["covered"]]) for f in faces
+    ])
+
+
 def test_json_decode_matches(corpus):
     rng = random.Random(2011)
     for name, K in corpus:
+        want = subdivide(K).to_json()
+        canonical = json.loads(want)
+        tables = [canonical, _one_face_moved_last(canonical, 0)]
         for _ in range(3):
-            obj = json.loads(subdivide(K).to_json())
+            obj = json.loads(want)
             rng.shuffle(obj["faces"])
+            tables.append(obj)
+        for obj in tables:
             got = _decoded(CubicalComplex.from_json_obj, obj)
-            assert got == _decoded(from_json_obj_oracle, obj) == subdivide(K).to_json(), name
+            assert got == _decoded(from_json_obj_oracle, obj) == want, name
+
+
+# keys that are prefixes of one another, or hold the characters that
+# interval keys are made of
+AWKWARD_KEY_TABLES = [
+    {";1,2,3": (0, []), ";1,2,30": (0, []), ";1,2": (0, []),
+     "0;1,2,3": (1, [";1,2,3", ";1,2,30"]), "0;1,2": (1, [";1,2", ";1,2,3"])},
+    {"[": (0, []), "]": (0, []), "|": (0, []), "[|]": (0, []),
+     "a[": (1, ["[", "]"]), "]a": (1, ["]", "|"]), "|a|": (1, ["|", "[|]"]), "": (1, ["[|]", "["])},
+    {"a": (0, []), "a|": (0, []), "a]": (0, []), "[a": (0, []),
+     "b": (1, ["a", "a|"]), "b|": (1, ["a|", "a]"]), "[b": (1, ["a]", "[a"]),
+     "c": (2, ["b", "b|", "[b"])},
+]
+
+
+@pytest.mark.parametrize("faces", AWKWARD_KEY_TABLES, ids=["prefixes", "brackets", "bars"])
+def test_subdivide_awkward_keys_matches(faces):
+    K = CubicalComplex.from_keyed_faces(faces)
+    assert subdivide(K).to_json() == subdivide_oracle(K).to_json()
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        # [a|b] below c and a below [b|c] both give the interval key [a|b|c]
+        {"a": (0, []), "a|b": (0, []), "x": (0, []), "c": (1, ["a|b", "x"]), "b|c": (1, ["a", "x"])},
+        {"a|b": (0, []), "a": (0, []), "c": (1, ["a|b"]), "b|c": (1, ["a"])},
+    ],
+)
+def test_subdivide_colliding_interval_keys_rejected(faces):
+    with pytest.raises(ValueError, match="^duplicate canonical keys$"):
+        subdivide(CubicalComplex.from_keyed_faces(faces))
 
 
 JSON_BASES = [json.loads(K.to_json()) for K in (gen_cube(2), gen_cube_boundary(3))]
