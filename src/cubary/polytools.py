@@ -1,8 +1,10 @@
 """Exact rational polynomial arithmetic, Moebius-composed substitutions,
-Sturm-based real root counting, and vector shape predicates.
+real root counting and isolation, and vector shape predicates.
 
 Everything here is exact: coefficients are Python ints or
-``fractions.Fraction`` and no floating point is used anywhere.
+``fractions.Fraction`` and no floating point is used anywhere. One
+primitive integer Sturm sequence serves root counting, the gcd and
+square-free part, and rational root isolation.
 """
 
 from __future__ import annotations
@@ -182,13 +184,11 @@ def mobius_transform(p: RatPoly, a: int, b: int, c: int, e: int, m: int) -> RatP
 
 
 def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Monic gcd (a nonzero constant is returned as 1)."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a * Fraction(1, Fraction(a.leading()))
+    """Monic gcd (a nonzero constant is returned as 1, gcd(0, 0) as 0)."""
+    a, b = _primitive(p.coeffs), _primitive(q.coeffs)
+    while b:
+        a, b = b, _primitive(_remainder(a, b))
+    return RatPoly(Fraction(c, a[-1]) for c in a)
 
 
 def square_free_part(p: RatPoly) -> RatPoly:
@@ -201,64 +201,64 @@ def square_free_part(p: RatPoly) -> RatPoly:
     return p.exact_div(g)
 
 
-def sturm_chain(p: RatPoly) -> list[RatPoly]:
-    """Sturm sequence p, p', then negated Euclidean remainders."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
-        if r.is_zero():
-            break
-        chain.append(-r)
-    if chain[-1].is_zero():
-        chain.pop()
+def _remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """|lead b|^(deg a - deg b + 1) * (a mod b) over ints: a positive
+    multiple of the Euclidean remainder, so every sign is kept."""
+    lead = abs(b[-1])
+    b = b[:-1] if b[-1] > 0 else [-c for c in b[:-1]]
+    r = list(a)
+    for k in range(len(a) - len(b) - 1, -1, -1):
+        c = r.pop()
+        r = [x * lead for x in r]
+        if c:
+            for j, bj in enumerate(b, k):
+                r[j] -= c * bj
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _chain(p: RatPoly) -> list[list[int]]:
+    """Sturm sequence of a nonzero p over ints: p, p', then negated
+    remainders until one is zero, each made primitive. Each member is a
+    positive multiple of the Euclidean one, so sign variations count p's
+    distinct real roots, square-free or not, and the last member is
+    gcd(p, p') up to a constant."""
+    q = _primitive(p.coeffs)
+    chain = [q] if len(q) == 1 else [q, _primitive([i * c for i, c in enumerate(q) if i])]
+    while len(chain) > 1 and (r := _remainder(chain[-2], chain[-1])):
+        chain.append([-c for c in _primitive(r)])
     return chain
 
 
-def _sign(x: Scalar) -> int:
-    return (x > 0) - (x < 0)
+def _variations(values: Iterable[int]) -> int:
+    """Sign changes along values, zeros skipped."""
+    neg = [v < 0 for v in values if v]
+    return sum(a != b for a, b in zip(neg, neg[1:]))
 
 
-def _variations(signs: Sequence[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
-
-
-def _sturm_count(q: RatPoly) -> int:
-    """Number of real roots of a square-free, nonzero q.
-
-    The sign variation difference of its Sturm chain is taken between
-    -infinity and +infinity, read off from leading coefficients.
-    """
-    if q.degree == 0:
-        return 0
-    chain = sturm_chain(q)
-    at_neg = [_sign(f.leading()) * (-1) ** f.degree for f in chain]
-    at_pos = [_sign(f.leading()) for f in chain]
-    return _variations(at_neg) - _variations(at_pos)
+def _count(chain: list[list[int]]) -> int:
+    """Distinct real roots of chain[0]: variations at -oo minus at +oo."""
+    at_neg = _variations(f[-1] if len(f) % 2 else -f[-1] for f in chain)
+    return at_neg - _variations(f[-1] for f in chain)
 
 
 def real_root_count(p: RatPoly) -> int:
-    """Number of distinct real roots of p, counted exactly.
-
-    Uses the Sturm chain of the square-free part of p. No numeric root
-    finding is involved.
-    """
+    """Number of distinct real roots of p, counted exactly on p's own
+    integer Sturm sequence; no numeric root finding is involved."""
     if p.is_zero():
         raise ValueError("root count of the zero polynomial is undefined")
-    return _sturm_count(square_free_part(p))
+    return _count(_chain(p))
 
 
 def is_real_rooted(p: RatPoly) -> bool:
-    """True iff every complex root of p is real (multiplicities allowed).
-
-    A polynomial has only real roots exactly when its square-free part
-    does, so distinct-root counting suffices. Nonzero constants are
-    vacuously real-rooted.
-    """
+    """True iff every complex root of p is real (multiplicities allowed):
+    p has deg p - deg gcd(p, p') distinct roots, and that gcd ends its
+    Sturm sequence. Nonzero constants are vacuously real-rooted."""
     if p.is_zero():
         raise ValueError("real-rootedness of the zero polynomial is undefined")
-    q = square_free_part(p)
-    return _sturm_count(q) == q.degree
+    chain = _chain(p)
+    return _count(chain) == len(chain[0]) - len(chain[-1])
 
 
 def rational_roots(p: RatPoly) -> list[Fraction]:
@@ -310,12 +310,11 @@ def _homogeneous(f: Sequence[int], a: int, b: int) -> int:
 
 def _nonzero_rational_roots(sf: RatPoly) -> list[Fraction]:
     """Rational roots of a square-free sf with sf(0) != 0 (see rational_roots)."""
-    q = _primitive(sf.coeffs)
-    chain = [_primitive(f.coeffs) for f in sturm_chain(sf)]
-    lead = abs(q[-1])
+    chain = _chain(sf)
+    q, lead = chain[0], abs(chain[0][-1])
 
     def variations(a: int, k: int) -> int:
-        return _variations([_sign(_homogeneous(f, a, 1 << k)) for f in chain])
+        return _variations(_homogeneous(f, a, 1 << k) for f in chain)
 
     # a power of two above the Cauchy bound 1 + max|q_i| / lead, so no root
     # lies on either end of the first interval

@@ -20,7 +20,7 @@ from math import comb
 
 from ._base import _Record
 from .face_vectors import FVector, LongHVector, ShortHVector, _long_short_rhs, hsc_from_hc
-from .polytools import RatPoly, Scalar, _cleared, mobius_transform
+from .polytools import RatPoly, Scalar, _cleared, _homogeneous, mobius_transform
 
 
 class CoeffMatrix(_Record):
@@ -56,10 +56,9 @@ class CoeffMatrix(_Record):
         """
         if len(vec) != self.size:
             raise ValueError(f"vector length {len(vec)} != {self.size}")
-        try:
-            vden, xs = _cleared(vec)
-        except AttributeError:
-            raise TypeError("apply needs int or Fraction entries") from None
+        if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for x in vec):
+            raise TypeError("apply needs int or Fraction entries")
+        vden, xs = _cleared(vec)
         den, rows = self._scaled
         den *= vden
         out = []
@@ -169,14 +168,13 @@ def _check_c_bivariate(d: int, entries: tuple) -> None:
     polynomial in d.
     """
     den, rows = CoeffMatrix("C", d, entries)._scaled
-    rows = [RatPoly(row) for row in rows]
     # at_y[y][i] = den * sum_j C[i][j] y^j, so den * lhs is a polynomial in x
-    at_y = {y: RatPoly(row(y) for row in rows) for y in range(2, d + 4)}
+    at_y = {y: [_homogeneous(row, y, 1) for row in rows] for y in range(2, d + 4)}
     for x in range(1, d + 4):
         xp3, x3p1 = x + 3, 3 * x + 1
         a, b = xp3 ** (d - 1), x3p1 ** (d - 1)
         for y in range(2, d + 4):
-            lhs = at_y[y](x)
+            lhs = _homogeneous(at_y[y], x, 1)
             g = xp3 - x3p1 * y
             rhs = (
                 2 ** (d + 1) * (1 + x ** (d + 1) * y**d) * g

@@ -1,24 +1,31 @@
 """The seed's trial-division root search, Fraction-evaluated C-matrix
 cross-check, term-by-term alternating sums, Fraction matrix-vector
-product and Fraction-built B and C matrices, kept as test oracles.
+product, Fraction-built B and C matrices and Fraction Euclid behind the
+gcd, square-free part and Sturm counts, kept as test oracles.
 
 ``cubary.rational_roots`` replaced the divisor search with Sturm
 isolation and bisection over integers, ``_check_c_bivariate`` now
 evaluates both sides with integer Horner, ``_c_alternating_sums`` runs
 the recursion its sums satisfy, ``CoeffMatrix.apply`` multiplies by
-integer-scaled rows with one exact division per entry, and ``b_matrix``
+integer-scaled rows with one exact division per entry, ``b_matrix``
 and ``_c_closed_forms`` build integer columns over 2^(d-1) and convert
-each entry once. The oracles below are the seed's code, unchanged but
+each entry once, and ``poly_gcd``, ``square_free_part``,
+``real_root_count`` and ``is_real_rooted`` read one primitive integer
+Sturm sequence. The oracles below are the earlier code, unchanged but
 for their names; they take time exponential in the coefficient bit size
 (roots), rebuild every power as a ``Fraction`` (bivariate check and the
-matrix builders) or take O(d^3) additions (alternating sums), so tests
-feed them small inputs only.
+matrix builders), take O(d^3) additions (alternating sums) or grow
+Fraction remainders to about degree^5 time (Euclid), so tests feed them
+small inputs only.
 """
 
 import math
 from fractions import Fraction
 
+from typing import Sequence
+
 from cubary import CoeffMatrix, RatPoly, b_matrix
+from cubary.polytools import Scalar
 
 
 def rational_roots_oracle(p: RatPoly) -> list[Fraction]:
@@ -158,3 +165,83 @@ def c_closed_forms_oracle(d: int) -> tuple:
     num = x * RatPoly((1, 3)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + x ** (d + 1)
     cols.append(num.exact_div(one_plus_x).padded(d + 1))
     return _columns_to_rows(cols, d + 1)
+
+
+def poly_gcd_oracle(p: RatPoly, q: RatPoly) -> RatPoly:
+    """Monic gcd (a nonzero constant is returned as 1)."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return a
+    return a * Fraction(1, Fraction(a.leading()))
+
+
+def square_free_part_oracle(p: RatPoly) -> RatPoly:
+    """p divided by gcd(p, p'); has the same roots, all simple."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no square-free part")
+    if p.degree == 0:
+        return RatPoly((1,))
+    g = poly_gcd_oracle(p, p.derivative())
+    return p.exact_div(g)
+
+
+def sturm_chain_oracle(p: RatPoly) -> list[RatPoly]:
+    """Sturm sequence p, p', then negated Euclidean remainders."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        r = chain[-2] % chain[-1]
+        if r.is_zero():
+            break
+        chain.append(-r)
+    if chain[-1].is_zero():
+        chain.pop()
+    return chain
+
+
+def _sign(x: Scalar) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _variations(signs: Sequence[int]) -> int:
+    nz = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+
+
+def sturm_count_oracle(q: RatPoly) -> int:
+    """Number of real roots of a square-free, nonzero q.
+
+    The sign variation difference of its Sturm chain is taken between
+    -infinity and +infinity, read off from leading coefficients.
+    """
+    if q.degree == 0:
+        return 0
+    chain = sturm_chain_oracle(q)
+    at_neg = [_sign(f.leading()) * (-1) ** f.degree for f in chain]
+    at_pos = [_sign(f.leading()) for f in chain]
+    return _variations(at_neg) - _variations(at_pos)
+
+
+def real_root_count_oracle(p: RatPoly) -> int:
+    """Number of distinct real roots of p, counted exactly.
+
+    Uses the Sturm chain of the square-free part of p. No numeric root
+    finding is involved.
+    """
+    if p.is_zero():
+        raise ValueError("root count of the zero polynomial is undefined")
+    return sturm_count_oracle(square_free_part_oracle(p))
+
+
+def is_real_rooted_oracle(p: RatPoly) -> bool:
+    """True iff every complex root of p is real (multiplicities allowed).
+
+    A polynomial has only real roots exactly when its square-free part
+    does, so distinct-root counting suffices. Nonzero constants are
+    vacuously real-rooted.
+    """
+    if p.is_zero():
+        raise ValueError("real-rootedness of the zero polynomial is undefined")
+    q = square_free_part_oracle(p)
+    return sturm_count_oracle(q) == q.degree

@@ -1,8 +1,11 @@
-"""The integer root search and C-matrix cross-check against the seed's.
+"""The integer root routines and C-matrix cross-check against the seed's.
 
-``rational_roots`` must return exactly the oracle's list on planted
-polynomials with small coefficients (fixed seed and hypothesis), on the
-(8,8,8) iterates for n = 0..18 and on iterates of seeded voxel h-vectors.
+``rational_roots``, ``is_real_rooted``, ``real_root_count``,
+``square_free_part`` and ``poly_gcd(p, p')`` must return exactly the
+Fraction oracles' results, value and type, on planted polynomials with
+small coefficients (fixed seed and hypothesis), on the (8,8,8) iterates
+for n = 0..18, on iterates of seeded voxel h-vectors and on the short
+h-polynomials of the default corpus before and after one subdivision.
 Both bivariate checks must accept ``c_matrix`` for d = 1..20 and reject,
 with the same message, a single perturbed entry and two swapped columns.
 The alternating sums over B must equal the oracle's, entry and type, for
@@ -29,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubary import (
+    FVector,
     LongHVector,
     RatPoly,
     ShortHVector,
@@ -39,18 +43,25 @@ from cubary import (
     hsc_from_f,
     hsc_of_subdivision,
     hsc_poly_of_iterate,
+    is_real_rooted,
     rational_roots,
+    real_root_count,
 )
 from cubary import transform
 from cubary.cli import main
-from cubary.corpus import random_voxel_complexes
+from cubary.corpus import default_corpus, random_voxel_complexes
+from cubary.polytools import poly_gcd, square_free_part
 from exact_oracle import (
     apply_oracle,
     b_matrix_oracle,
     c_alternating_sums_oracle,
     c_closed_forms_oracle,
     check_c_bivariate_oracle,
+    is_real_rooted_oracle,
+    poly_gcd_oracle,
     rational_roots_oracle,
+    real_root_count_oracle,
+    square_free_part_oracle,
 )
 
 
@@ -74,15 +85,31 @@ def planted_poly(randint) -> RatPoly:
     return p
 
 
+ROUTINES = [
+    (rational_roots, rational_roots_oracle),
+    (is_real_rooted, is_real_rooted_oracle),
+    (real_root_count, real_root_count_oracle),
+    (square_free_part, square_free_part_oracle),
+]
+
+
+def _typed(result) -> tuple:
+    """A result with the type of each value, so equal means equal and alike."""
+    values = result.coeffs if isinstance(result, RatPoly) else result
+    values = values if isinstance(values, (list, tuple)) else [values]
+    return result, [type(v) for v in values]
+
+
 def _agree(p: RatPoly) -> None:
+    assert _typed(poly_gcd(p, p.derivative())) == _typed(poly_gcd_oracle(p, p.derivative())), p
     if p.is_zero():
-        for roots in (rational_roots, rational_roots_oracle):
-            with pytest.raises(ValueError):
-                roots(p)
+        for routine, oracle in ROUTINES:
+            for fn in (routine, oracle):
+                with pytest.raises(ValueError):
+                    fn(p)
         return
-    got = rational_roots(p)
-    assert got == rational_roots_oracle(p), p
-    assert all(type(r) is Fraction for r in got)
+    for routine, oracle in ROUTINES:
+        assert _typed(routine(p)) == _typed(oracle(p)), (routine.__name__, p)
 
 
 class TestRationalRoots:
@@ -111,6 +138,12 @@ class TestRationalRoots:
                 h = hsc_from_f(f_vector(K))
                 for n in ns:
                     _agree(hsc_poly_of_iterate(h, n))
+
+    def test_subdivided_default_corpus(self):
+        for _, K in default_corpus():
+            h = hsc_from_f(f_vector(K))
+            _agree(h.polynomial())
+            _agree(hsc_of_subdivision(h).polynomial())
 
 
 CHECKS = [transform._check_c_bivariate, check_c_bivariate_oracle]
@@ -272,8 +305,9 @@ class TestApply:
         _apply_agrees(kind, d, apply_input(lambda lo, hi: data.draw(st.integers(lo, hi)), kind, d))
 
     def test_rejects_floats_and_wrong_lengths(self):
-        with pytest.raises(TypeError):
-            b_matrix(2).apply((1.0, 2))
+        for vec in ((1.0, 2), (True, 0)):
+            with pytest.raises(TypeError):
+                b_matrix(2).apply(vec)
         with pytest.raises(ValueError):
             c_matrix(2).apply((2, 1))
 
@@ -284,6 +318,17 @@ class TestFormerHangs:
         start = time.perf_counter()
         assert rational_roots(hsc_poly_of_iterate(ShortHVector((8, 8, 8)), 30)) == []
         assert time.perf_counter() - start < 5
+
+    def test_sturm_counts_at_degree_79(self):
+        # sd of the boundary of the 80-cube: 2^80 (1 + x + ... + x^79) has the
+        # one real root -1, and subdivision maps roots by a Moebius map
+        f = FVector(2 ** (80 - i) * math.comb(80, i) for i in range(80))
+        p = hsc_of_subdivision(hsc_from_f(f)).polynomial()
+        assert p.degree == 79
+        start = time.perf_counter()
+        assert (is_real_rooted(p), real_root_count(p)) == (False, 1)
+        # Fraction Euclid takes about degree^5 time: 17.7 s on a 2-CPU VM
+        assert time.perf_counter() - start < 2
 
     def test_c_matrix_30_builds(self):
         transform.c_matrix.cache_clear()

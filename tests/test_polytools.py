@@ -164,8 +164,16 @@ class TestSturm:
         assert sf.degree == 2
         assert sf(Fraction(-1)) == 0 and sf(Fraction(1)) == 0
 
+    def test_square_free_part_of_a_constant_is_one(self):
+        assert square_free_part(RatPoly((5,))) == RatPoly((1,))
+        assert square_free_part(RatPoly((Fraction(2, 3),))) == RatPoly((1,))
+
     def test_gcd_of_coprime_is_one(self):
         assert poly_gcd(RatPoly((1, 1)), RatPoly((2, 1))) == RatPoly((1,))
+
+    def test_gcd_with_zero(self):
+        assert poly_gcd(RatPoly(), RatPoly()) == RatPoly()
+        assert poly_gcd(RatPoly((2, 4)), RatPoly()) == RatPoly((Fraction(1, 2), 1))
 
     @given(
         st.lists(
