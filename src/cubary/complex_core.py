@@ -542,14 +542,14 @@ def _voxel_f_counts(spec: VoxelSpec) -> list[int]:
 
 def gen_cube(d: int) -> CubicalComplex:
     """The complex of all faces of the standard d-cube, top cell included."""
-    if d < 0:
+    if type(d) is not int or d < 0:
         raise ValueError("d must be >= 0")
     return CubicalComplex._from_table(*_cube_faces(d, [(0,) * d]))
 
 
 def gen_cube_boundary(d: int) -> CubicalComplex:
     """All proper faces of the d-cube; the (d-1)-sphere for d >= 1."""
-    if d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError("cube boundary needs d >= 1 (no empty complexes)")
     dims, covered, keys = _cube_faces(d, [(0,) * d])
     # the top cell has the full mask, so it is the last row

@@ -55,13 +55,3 @@ def bernoulli_voxel_spec(rng: random.Random, dim: int) -> VoxelSpec:
         if corners:
             return VoxelSpec(dim, corners)
 
-
-def random_voxel_complexes(
-    seed: int, dim: int, count: int
-) -> list[tuple[VoxelSpec, CubicalComplex]]:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        spec = bernoulli_voxel_spec(rng, dim)
-        out.append((spec, from_voxels(spec)))
-    return out

@@ -183,11 +183,7 @@ def check_long_short_identity(f: FVector) -> bool:
 
 def _long_short_rhs(d: int, hsc: RatPoly, chi: int) -> RatPoly:
     """2^(d-1) + x h^sc(x) + 2^(d-1) (-x)^(d+1) chi~, which is (1+x) h^c(x)."""
-    return (
-        RatPoly((2 ** (d - 1),))
-        + RatPoly.x() * hsc
-        + 2 ** (d - 1) * chi * RatPoly((0, -1)) ** (d + 1)
-    )
+    return RatPoly((2 ** (d - 1), *hsc.padded(d), (-1) ** (d + 1) * 2 ** (d - 1) * chi))
 
 
 def summary(K: CubicalComplex) -> dict:

@@ -4,7 +4,8 @@ real root counting and isolation, and vector shape predicates.
 Everything here is exact: coefficients are Python ints or
 ``fractions.Fraction`` and no floating point is used anywhere. One
 primitive integer Sturm sequence serves root counting, the gcd and
-square-free part, and rational root isolation.
+square-free part, and rational root isolation. One linear-factor step,
+``_times`` or ``_divided``, expands the substitution's linear powers.
 """
 
 from __future__ import annotations
@@ -168,19 +169,34 @@ def _as_poly(p) -> RatPoly:
 def mobius_transform(p: RatPoly, a: int, b: int, c: int, e: int, m: int) -> RatPoly:
     """Expand (c*x + e)^m * p((a*x + b) / (c*x + e)) exactly.
 
-    Equals sum_k p_k (a*x + b)^k (c*x + e)^(m-k); requires m >= deg(p) so
-    every term clears its denominator.
+    Equals sum_k p_k (a*x + b)^k (c*x + e)^(m-k) for an int m >= deg(p),
+    summed by homogeneous Horner on p's cleared coefficients from k = m
+    down: acc (a*x + b) + p_k (c*x + e)^(m-k), two linear steps per k.
     """
-    if m < p.degree:
-        raise ValueError(f"m={m} is smaller than deg(p)={p.degree}")
-    num = RatPoly((b, a))
-    den = RatPoly((e, c))
-    acc = RatPoly()
-    for k, pk in enumerate(p.coeffs):
-        if pk == 0:
-            continue
-        acc = acc + pk * num**k * den ** (m - k)
-    return acc
+    if type(m) is not int or m < p.degree:
+        raise ValueError(f"m={m!r} must be an int >= deg(p)={p.degree}")
+    a, b, c, e = map(_exact, (a, b, c, e))
+    den, ps = _cleared(p.padded(m + 1))
+    acc, power = [], [1]
+    for pk in reversed(ps):
+        acc = [u + pk * v for u, v in zip(_times(acc, b, a), power)]
+        power = _times(power, e, c)
+    return RatPoly(Fraction(u, den) for u in acc)
+
+
+def _times(p: Sequence[Scalar], a: Scalar, b: Scalar) -> list:
+    """p (a + b*x), coefficients constant term first; one entry longer than p."""
+    return [a * u + b * v for u, v in zip([*p, 0], [0, *p])]
+
+
+def _divided(p: Sequence[Scalar], a: Scalar) -> list:
+    """p / (x + a), one entry shorter; ValueError unless p(-a) = 0."""
+    q = [0]
+    for c in reversed(p):
+        q.append(c - a * q[-1])
+    if q.pop():
+        raise ValueError(f"x + {a} does not divide the polynomial exactly")
+    return q[:0:-1]
 
 
 def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:

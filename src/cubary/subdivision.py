@@ -92,8 +92,8 @@ def subdivide_n(
     FaceBudgetExceeded without constructing anything. n=0 returns K
     unchanged.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an int >= 0")
     max_key = max(map(len, K.keys), default=0)
     for step in range(1, n + 1):
         f = [0] * (K.dim + 1)

@@ -5,8 +5,9 @@ plus iterate closed forms and limit distances.
 The short-transform matrix B(d) is d x d with column j holding the
 coefficients of (3x+1)^j (x+3)^(d-1-j) / 2^(d-1). The long-transform
 matrix C(d) is (d+1) x (d+1); its columns come from three column
-generating functions, and the construction is cross-checked against two
-independent formulations before anything is returned.
+generating functions and are cross-checked against two independent
+formulations. Both are built as integer columns over 2^(d-1) by linear
+steps (times 3x+1, exactly over x+3), and each entry is formed once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb
 
 from ._base import _Record
 from .face_vectors import FVector, LongHVector, ShortHVector, _long_short_rhs, hsc_from_hc
-from .polytools import RatPoly, Scalar, _cleared, _homogeneous, mobius_transform
+from .polytools import RatPoly, Scalar, _cleared, _divided, _homogeneous, _times, mobius_transform
 
 
 class CoeffMatrix(_Record):
@@ -82,92 +83,86 @@ def _over(den: int, rows) -> tuple:
     return tuple(tuple(Fraction(n, den) if n % den else n // den for n in row) for row in rows)
 
 
-@lru_cache(maxsize=None)
+def _columns(m: int) -> list[list[int]]:
+    """(3x+1)^j (x+3)^(m-j) for j = 0..m, m+1 coefficients each: (x+3)^m
+    by the binomial theorem, then each column times 3x+1 over x+3."""
+    cols = [[comb(m, i) * 3 ** (m - i) for i in range(m + 1)]]
+    for _ in range(m):
+        cols.append(_divided(_times(cols[-1], 1, 3), 3))
+    return cols
+
+
+@lru_cache(maxsize=None, typed=True)
 def b_matrix(d: int) -> CoeffMatrix:
     """Short h-vector transform matrix for complexes with d = dim + 1.
 
-    Column j times 2^(d-1) is (3x+1)^j (x+3)^(d-1-j), so each column is
-    the one before times 3x+1, divided exactly by x+3.
+    Column j times 2^(d-1) is (3x+1)^j (x+3)^(d-1-j).
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    x3p1, xp3 = RatPoly((1, 3)), RatPoly((3, 1))
-    col = xp3 ** (d - 1)
-    cols = [col.padded(d)]
-    for _ in range(d - 1):
-        col = (col * x3p1).exact_div(xp3)
-        cols.append(col.padded(d))
-    return CoeffMatrix("B", d, _over(2 ** (d - 1), zip(*cols)))
+    if type(d) is not int or d < 1:
+        raise ValueError("d must be an int >= 1")
+    return CoeffMatrix("B", d, _over(2 ** (d - 1), zip(*_columns(d - 1))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def c_matrix(d: int) -> CoeffMatrix:
     """Long h-vector transform matrix for complexes with d = dim + 1.
 
     Built from the per-column closed forms (the j=0 and j=d cases divide
     exactly by 1+x), then required to agree with (a) alternating sums
     over the B matrix and (b) a grid evaluation of the bivariate
-    generating function. Disagreement means an implementation bug and
-    raises RuntimeError.
+    generating function, all on integer rows over 2^(d-1). Disagreement
+    means an implementation bug and raises RuntimeError.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    entries = _c_closed_forms(d)
-    alt = _c_alternating_sums(d)
-    if alt != entries:
-        raise RuntimeError(
-            f"C({d}) closed forms disagree with alternating sums over B"
-        )
-    _check_c_bivariate(d, entries)
-    return CoeffMatrix("C", d, entries)
+    if type(d) is not int or d < 1:
+        raise ValueError("d must be an int >= 1")
+    den, rows = _c_closed_forms(d)
+    if _c_alternating_sums(d) != (den, rows):
+        raise RuntimeError(f"C({d}) closed forms disagree with alternating sums over B")
+    _check_c_bivariate(d, den, rows)
+    return CoeffMatrix("C", d, _over(den, rows))
 
 
-def _c_closed_forms(d: int) -> tuple:
-    """C's columns from their closed forms, each times 2^(d-1) over
-    integers; independent of B."""
+def _c_closed_forms(d: int) -> tuple[int, tuple]:
+    """C's rows as integers over den = 2^(d-1), from the columns' closed
+    forms times den; independent of B."""
     den = 2 ** (d - 1)
-    x, one_plus_x = RatPoly.x(), RatPoly((1, 1))
-    x3p1, xp3 = RatPoly((1, 3)), RatPoly((3, 1))
-    # j = 0: (x (x+3)^(d-1) + 2^(d-1)) / (1+x)
-    cols = [(x * xp3 ** (d - 1) + den).exact_div(one_plus_x)]
+    xp3 = [comb(d - 1, i) * 3 ** (d - 1 - i) for i in range(d)]
+    # j = 0: (x (x+3)^(d-1) + den) / (1+x)
+    cols = [_divided([den, *xp3], 1) + [0]]
     # 1 <= j <= d-1: 4x (3x+1)^(j-1) (x+3)^(d-1-j)
-    for j in range(1, d):
-        cols.append(4 * x * x3p1 ** (j - 1) * xp3 ** (d - 1 - j))
-    # j = d: (x (3x+1)^(d-1) + 2^(d-1) x^(d+1)) / (1+x)
-    cols.append((x * x3p1 ** (d - 1) + den * x ** (d + 1)).exact_div(one_plus_x))
-    return _over(den, zip(*(col.padded(d + 1) for col in cols)))
+    cols += ([0, *(4 * c for c in col), 0] for col in (_columns(d - 2) if d > 1 else ()))
+    # j = d: (x (3x+1)^(d-1) + den x^(d+1)) / (1+x); (3x+1)^(d-1) is (x+3)^(d-1) reversed
+    cols.append(_divided([0, *reversed(xp3), den], 1))
+    return den, tuple(zip(*cols))
 
 
-def _c_alternating_sums(d: int) -> tuple:
-    """C entries from alternating sums of B columns (B(d,k,d) taken as 0).
+def _c_alternating_sums(d: int) -> tuple[int, tuple]:
+    """C's rows as integers over B's least denominator, 2^(d-1), from
+    alternating sums of B columns (B(d,k,d) taken as 0).
 
     C[i][j] = (-1)^i [j=0] + sum_{k<i} (-1)^(i+k-1) (B[k][j] + B[k][j-1]),
     computed by the recursion it sums: C[0][j] = [j=0] and
     C[i+1][j] = B[i][j] + B[i][j-1] - C[i][j], so the time is O(d^2).
-    The recursion runs on B's integer numerators over their common
-    denominator.
     """
     den, B = b_matrix(d)._scaled
     rows = [(den,) + (0,) * d]
     for row in B:
         rows.append(tuple(a + b - c for a, b, c in zip(row + (0,), (0,) + row, rows[-1])))
-    return _over(den, rows)
+    return den, tuple(rows)
 
 
-def _check_c_bivariate(d: int, entries: tuple) -> None:
-    """Compare sum_{i,j} C[i][j] x^i y^j with its bivariate generating
-    function on a grid large enough to separate polynomials of the
-    degrees involved (x-degree <= d+2, y-degree <= d+1 after clearing
-    the two denominators), at points where neither denominator vanishes.
+def _check_c_bivariate(d: int, den: int, rows: tuple) -> None:
+    """Compare sum_{i,j} C[i][j] x^i y^j, C = rows / den, with its
+    bivariate generating function on a grid large enough to separate
+    polynomials of the degrees involved (x-degree <= d+2, y-degree <= d+1
+    after clearing the two denominators), at points where neither
+    denominator vanishes.
 
-    Everything is integer arithmetic. The denominators of ``entries``
-    are cleared once into an integer matrix, whose rows are evaluated
-    by Horner in y for each grid y and then in x. The generating
-    function is multiplied through by 2^(d+1) (1+x) (x+3 - (3x+1) y),
-    and the two sides are compared cross-multiplied, so the time is
-    polynomial in d.
+    Everything is integer arithmetic: rows are evaluated by Horner in y
+    for each grid y and then in x. The generating function is multiplied
+    through by 2^(d+1) (1+x) (x+3 - (3x+1) y), and the two sides are
+    compared cross-multiplied, so the time is polynomial in d.
     """
-    den, rows = CoeffMatrix("C", d, entries)._scaled
     # at_y[y][i] = den * sum_j C[i][j] y^j, so den * lhs is a polynomial in x
     at_y = {y: [_homogeneous(row, y, 1) for row in rows] for y in range(2, d + 4)}
     for x in range(1, d + 4):
@@ -235,12 +230,11 @@ def hsc_poly_of_iterate(h: ShortHVector, n: int) -> RatPoly:
     2^-(d-1). For n=0 this is the identity; for n=1 it matches one
     application of the B matrix.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an int >= 0")
     d = h.d
     a, b = 2**n + 1, 2**n - 1
-    p = mobius_transform(h.polynomial(), a, b, b, a, d - 1)
-    return p * Fraction(1, 2 ** (d - 1))
+    return mobius_transform(h.polynomial(), a, b, b, a, d - 1) * Fraction(1, 2 ** (d - 1))
 
 
 def limit_distance_hsc(h: ShortHVector, f_top: int, n: int) -> Fraction:
@@ -283,7 +277,7 @@ def limit_distance_hc(h: LongHVector, f_top: int, euler: int, n: int) -> Fractio
 def hc_poly_of_iterate(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
     """Long h-polynomial after n subdivisions, from the short iterate."""
     rhs = _long_short_rhs(hsc.d, hsc_poly_of_iterate(hsc, n), euler)
-    return rhs.exact_div(RatPoly((1, 1)))
+    return RatPoly(_divided(rhs.coeffs, 1))
 
 
 def _limit_rows(hsc: ShortHVector, f_top: int, euler: int | None, ns):

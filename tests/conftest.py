@@ -1,4 +1,5 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, the seeded random voxel complexes and independent
+brute-force oracles.
 
 The oracles here deliberately avoid the code paths they are used to
 check: interval counting goes through the generic order relation only,
@@ -8,12 +9,13 @@ convolution instead of the binomial closed form.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from cubary import CubicalComplex, FVector, VoxelSpec
-from cubary.corpus import default_corpus
+from cubary import CubicalComplex, FVector, VoxelSpec, from_voxels
+from cubary.corpus import bernoulli_voxel_spec, default_corpus
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +39,19 @@ def non_cube_square():
             "s": (2, ["ab", "bc", "ca", "cd"]),
         }
     )
+
+
+def random_voxel_complexes(
+    seed: int, dim: int, count: int
+) -> list[tuple[VoxelSpec, CubicalComplex]]:
+    """count draws of the random voxel model from one seeded generator,
+    each with the complex it spans."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        spec = bernoulli_voxel_spec(rng, dim)
+        out.append((spec, from_voxels(spec)))
+    return out
 
 
 def brute_force_interval_fvector(K: CubicalComplex) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """The seed's trial-division root search, Fraction-evaluated C-matrix
 cross-check, term-by-term alternating sums, Fraction matrix-vector
-product, Fraction-built B and C matrices and Fraction Euclid behind the
-gcd, square-free part and Sturm counts, kept as test oracles.
+product, Fraction-built B and C matrices, Fraction Euclid behind the
+gcd, square-free part and Sturm counts, and the Moebius substitution by
+``RatPoly`` powers, kept as test oracles.
 
 ``cubary.rational_roots`` replaced the divisor search with Sturm
 isolation and bisection over integers, ``_check_c_bivariate`` now
@@ -11,12 +12,13 @@ integer-scaled rows with one exact division per entry, ``b_matrix``
 and ``_c_closed_forms`` build integer columns over 2^(d-1) and convert
 each entry once, and ``poly_gcd``, ``square_free_part``,
 ``real_root_count`` and ``is_real_rooted`` read one primitive integer
-Sturm sequence. The oracles below are the earlier code, unchanged but
-for their names; they take time exponential in the coefficient bit size
-(roots), rebuild every power as a ``Fraction`` (bivariate check and the
-matrix builders), take O(d^3) additions (alternating sums) or grow
-Fraction remainders to about degree^5 time (Euclid), so tests feed them
-small inputs only.
+Sturm sequence, and ``mobius_transform`` sums by homogeneous Horner with
+one linear factor per step. The oracles below are the earlier code,
+unchanged but for their names; they take time exponential in the
+coefficient bit size (roots), rebuild every power as a ``Fraction``
+(bivariate check, the matrix builders and the substitution), take
+O(d^3) additions (alternating sums) or grow Fraction remainders to
+about degree^5 time (Euclid), so tests feed them small inputs only.
 """
 
 import math
@@ -245,3 +247,21 @@ def is_real_rooted_oracle(p: RatPoly) -> bool:
         raise ValueError("real-rootedness of the zero polynomial is undefined")
     q = square_free_part_oracle(p)
     return sturm_count_oracle(q) == q.degree
+
+
+def mobius_transform_oracle(p: RatPoly, a: int, b: int, c: int, e: int, m: int) -> RatPoly:
+    """Expand (c*x + e)^m * p((a*x + b) / (c*x + e)) exactly.
+
+    Equals sum_k p_k (a*x + b)^k (c*x + e)^(m-k); requires m >= deg(p) so
+    every term clears its denominator.
+    """
+    if m < p.degree:
+        raise ValueError(f"m={m} is smaller than deg(p)={p.degree}")
+    num = RatPoly((b, a))
+    den = RatPoly((e, c))
+    acc = RatPoly()
+    for k, pk in enumerate(p.coeffs):
+        if pk == 0:
+            continue
+        acc = acc + pk * num**k * den ** (m - k)
+    return acc

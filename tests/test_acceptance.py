@@ -35,10 +35,10 @@ from cubary import (
     subdivide,
     VoxelSpec,
 )
-from cubary.corpus import default_corpus, random_voxel_complexes
-from cubary.transform import _c_alternating_sums, f_of_subdivision
+from cubary.corpus import default_corpus
+from cubary.transform import _c_alternating_sums, _over, f_of_subdivision
 
-from conftest import brute_force_interval_fvector
+from conftest import brute_force_interval_fvector, random_voxel_complexes
 
 
 def _report(num: int, failures: list, elapsed: float, note: str = ""):
@@ -154,7 +154,7 @@ def test_criterion_5_matrix_properties():
         except RuntimeError as exc:
             failures.append(f"C({d}) cross-check: {exc}")
             continue
-        if _c_alternating_sums(d) != C.entries:
+        if _over(*_c_alternating_sums(d)) != C.entries:
             failures.append(f"C({d}) alternating sums disagree")
         if C.entries[0] != tuple([1] + [0] * d):
             failures.append(f"C({d}) row 0 wrong")

@@ -28,7 +28,7 @@ from cubary import (
     subdivide,
 )
 from cubary import corpus as corpus_mod
-from cubary.corpus import random_voxel_complexes
+from conftest import random_voxel_complexes
 from builder_oracle import (
     from_json_obj_oracle,
     from_keyed_faces_oracle,

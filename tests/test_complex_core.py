@@ -93,7 +93,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_random_voxel_complexes_validate(self, dim):
-        from cubary.corpus import random_voxel_complexes
+        from conftest import random_voxel_complexes
 
         for spec, K in random_voxel_complexes(99, dim, 5):
             report = validate(K)

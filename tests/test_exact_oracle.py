@@ -16,8 +16,12 @@ printed before the builders moved to integers, at B(200) and C(100).
 ``CoeffMatrix.apply`` must equal the Fraction product, entry and type, for
 B(d) and C(d) at d = 1..30 on int, Fraction and mixed vectors (fixed seed
 and hypothesis), and the transforms must warn exactly when that product
-has a Fraction. The last tests guard the inputs on which the seed's
-routines hung.
+has a Fraction. ``mobius_transform`` must equal the seed's substitution
+by ``RatPoly`` powers, value and coefficient type, on signed, big and
+Fraction coefficients, the zero polynomial, a..e in -3..3 and m from
+deg p to deg p + 3 (fixed seed and hypothesis), and both must refuse
+bool and float a..e with TypeError. The last tests guard the inputs on
+which the seed's routines hung.
 """
 
 import hashlib
@@ -44,13 +48,15 @@ from cubary import (
     hsc_of_subdivision,
     hsc_poly_of_iterate,
     is_real_rooted,
+    mobius_transform,
     rational_roots,
     real_root_count,
 )
 from cubary import transform
 from cubary.cli import main
-from cubary.corpus import default_corpus, random_voxel_complexes
+from cubary.corpus import default_corpus
 from cubary.polytools import poly_gcd, square_free_part
+from conftest import random_voxel_complexes
 from exact_oracle import (
     apply_oracle,
     b_matrix_oracle,
@@ -58,6 +64,7 @@ from exact_oracle import (
     c_closed_forms_oracle,
     check_c_bivariate_oracle,
     is_real_rooted_oracle,
+    mobius_transform_oracle,
     poly_gcd_oracle,
     rational_roots_oracle,
     real_root_count_oracle,
@@ -146,7 +153,58 @@ class TestRationalRoots:
             _agree(hsc_of_subdivision(h).polynomial())
 
 
-CHECKS = [transform._check_c_bivariate, check_c_bivariate_oracle]
+def _check_entries(d: int, entries: tuple) -> None:
+    """The integer grid check, on entries cleared to one denominator."""
+    transform._check_c_bivariate(d, *transform.CoeffMatrix("C", d, entries)._scaled)
+
+
+def mobius_input(randint) -> tuple:
+    """(p, a, b, c, e, m) for mobius_transform, each size drawn by
+    randint(lo, hi): p has up to 6 coefficients, each a small signed int,
+    a big one or a Fraction (none at all is the zero polynomial), a..e
+    lie in -3..3 and m in deg p .. deg p + 3."""
+    coeffs = []
+    for _ in range(randint(0, 6)):
+        flavour = randint(0, 2)
+        c = randint(-9, 9)
+        if flavour == 1:
+            c *= 10 ** randint(20, 40) + randint(0, 9)
+        elif flavour == 2:
+            c = Fraction(c, randint(1, 12))
+        coeffs.append(c)
+    p = RatPoly(coeffs)
+    return (p, *(randint(-3, 3) for _ in range(4)), p.degree + randint(0, 3))
+
+
+def _mobius_agrees(args: tuple) -> None:
+    assert _typed(mobius_transform(*args)) == _typed(mobius_transform_oracle(*args)), args
+    p, *abce, m = args
+    for i in range(4):
+        for wrong in (True, 1.0):
+            bad = (p, *abce[:i], wrong, *abce[i + 1:], m)
+            for fn in (mobius_transform, mobius_transform_oracle):
+                with pytest.raises(TypeError):
+                    fn(*bad)
+
+
+class TestMobiusOracle:
+    def test_fixed_seed(self):
+        rng = random.Random(1948)
+        for _ in range(300):
+            _mobius_agrees(mobius_input(rng.randint))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_hypothesis(self, data):
+        _mobius_agrees(mobius_input(lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+    def test_cube_boundary_iterates(self):
+        for n in range(6):
+            a, b = 2**n + 1, 2**n - 1
+            _mobius_agrees((RatPoly((8, 8, 8)), a, b, b, a, 2))
+
+
+CHECKS = [_check_entries, check_c_bivariate_oracle]
 
 
 def _perturbed(entries: tuple, d: int) -> tuple:
@@ -184,7 +242,10 @@ class TestBivariateCheck:
 
     def test_perturbed_matrix_exits_4(self, monkeypatch, capsys):
         d = 7
-        bad = _perturbed(c_matrix(d).entries, d)
+        den, rows = transform._c_closed_forms(d)
+        rows = [list(row) for row in rows]
+        rows[d // 2][d // 3] += 1
+        bad = den, tuple(map(tuple, rows))
         monkeypatch.setattr(transform, "_c_closed_forms", lambda d: bad)
         monkeypatch.setattr(transform, "_c_alternating_sums", lambda d: bad)
         transform.c_matrix.cache_clear()
@@ -201,7 +262,7 @@ class TestBivariateCheck:
 class TestAlternatingSums:
     @pytest.mark.parametrize("d", range(1, 31))
     def test_recursion_equals_the_sums(self, d):
-        got = transform._c_alternating_sums(d)
+        got = transform._over(*transform._c_alternating_sums(d))
         want = c_alternating_sums_oracle(d)
         assert got == want
         assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
@@ -329,6 +390,16 @@ class TestFormerHangs:
         assert (is_real_rooted(p), real_root_count(p)) == (False, 1)
         # Fraction Euclid takes about degree^5 time: 17.7 s on a 2-CPU VM
         assert time.perf_counter() - start < 2
+
+    def test_mobius_degree_300(self):
+        # the seed raised two RatPoly powers per term: 7-8 s on a 2-CPU VM
+        rng = random.Random(300)
+        p = RatPoly([rng.randint(-99, 99) for _ in range(300)] + [1])
+        start = time.perf_counter()
+        q = mobius_transform(p, 3, 1, 1, 3, 300)
+        assert time.perf_counter() - start < 2
+        for t in (0, 1, Fraction(-1, 2), Fraction(2, 7)):
+            assert q(t) == (t + 3) ** 300 * p(Fraction(3 * t + 1) / (t + 3)), t
 
     def test_c_matrix_30_builds(self):
         transform.c_matrix.cache_clear()

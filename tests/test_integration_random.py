@@ -16,7 +16,7 @@ from cubary import (
     subdivide,
     validate,
 )
-from cubary.corpus import random_voxel_complexes
+from conftest import random_voxel_complexes
 
 
 @pytest.mark.parametrize("dim,seed,count", [(1, 501, 10), (2, 502, 15), (3, 503, 10)])

@@ -13,6 +13,8 @@ from cubary.polytools import (
     real_root_count,
     shape_predicates,
     square_free_part,
+    _divided,
+    _times,
 )
 
 rationals = st.fractions(
@@ -129,6 +131,37 @@ class TestMobius:
         c = c2 * a1 + e2 * c1
         e = c2 * b1 + e2 * e1
         assert two_step == mobius_transform(p, a, b, c, e, m)
+
+
+class TestLinearStep:
+    @given(small_polys, st.integers(-5, 5), st.integers(-5, 5))
+    @settings(max_examples=100, derandomize=True)
+    def test_times_then_divided_round_trips(self, p, a, b):
+        q = _times(p.coeffs, a, b)
+        assert RatPoly(q) == p * RatPoly((a, b))
+        assert len(q) == len(p.coeffs) + 1
+        assert _divided(_times(p.coeffs, a, 1), a) == list(p.coeffs)
+
+    @pytest.mark.parametrize("c", [5, -1, Fraction(1, 3)])
+    @pytest.mark.parametrize("a", [0, 1, -2])
+    def test_divided_refuses_a_nonzero_constant(self, c, a):
+        with pytest.raises(ValueError):
+            _divided([c], a)
+
+    @given(small_polys, st.integers(-5, 5))
+    @settings(max_examples=100, derandomize=True)
+    def test_divided_raises_exactly_when_minus_a_is_no_root(self, p, a):
+        if p(-a) == 0:
+            assert RatPoly(_divided(p.coeffs, a)) * RatPoly((a, 1)) == p
+        else:
+            with pytest.raises(ValueError):
+                _divided(p.coeffs, a)
+
+    def test_divided_keeps_length(self):
+        assert _divided([], 4) == []
+        assert _divided([0], 4) == []
+        assert _divided([3, 4, 1], 1) == [3, 1]
+        assert _divided([0, 0, 0], 7) == [0, 0]
 
 
 class TestSturm:

@@ -14,6 +14,7 @@ from cubary import (
     f_of_subdivision,
     euler_reduced,
     f_vector,
+    gen_cube,
     gen_cube_boundary,
     hc_from_hsc,
     hc_of_subdivision,
@@ -24,9 +25,10 @@ from cubary import (
     limit_distance_hsc,
     mobius_transform,
     subdivide,
+    subdivide_n,
 )
 from cubary.cli import LIMIT_BIT_BUDGET
-from cubary.transform import _c_alternating_sums, _distance_bits, _limit_rows
+from cubary.transform import _c_alternating_sums, _distance_bits, _limit_rows, _over
 
 
 class TestBMatrix:
@@ -84,7 +86,7 @@ class TestCMatrix:
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_closed_forms_equal_alternating_sums(self, d):
-        assert _c_alternating_sums(d) == c_matrix(d).entries
+        assert _over(*_c_alternating_sums(d)) == c_matrix(d).entries
 
     def test_rejects_nonpositive_d(self):
         with pytest.raises(ValueError):
@@ -336,3 +338,27 @@ class TestLimits:
         assert widest[0] < 10**4300 <= widest[1]
         assert 2**LIMIT_BIT_BUDGET < 10**4300 < 2 ** (LIMIT_BIT_BUDGET + 1)
         assert _distance_bits(h, f_top, chi, 2853) <= LIMIT_BIT_BUDGET < _distance_bits(h, f_top, chi, 2854)
+
+
+# each call admits the int 1 and must refuse True, which equals it
+INT_PARAMETERS = {
+    "b_matrix": b_matrix,
+    "c_matrix": c_matrix,
+    "hsc_poly_of_iterate": lambda v: hsc_poly_of_iterate(ShortHVector((1, 1)), v),
+    "mobius_transform": lambda v: mobius_transform(RatPoly((1, 1)), 1, 0, 0, 1, v),
+    "subdivide_n": lambda v: subdivide_n(gen_cube(1), v),
+    "gen_cube": gen_cube,
+    "gen_cube_boundary": gen_cube_boundary,
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", list(INT_PARAMETERS))
+def test_bool_parameters_are_refused(name, warm):
+    call = INT_PARAMETERS[name]
+    b_matrix.cache_clear()
+    c_matrix.cache_clear()
+    if warm:
+        call(1)
+    with pytest.raises(ValueError):
+        call(True)

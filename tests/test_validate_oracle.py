@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubary import CubicalComplex, VoxelSpec, from_voxels, subdivide, validate
-from cubary.corpus import default_corpus, random_voxel_complexes
+from cubary.corpus import default_corpus
+from conftest import random_voxel_complexes
 from validate_oracle import validate_facet_local, validate_oracle
 
 
