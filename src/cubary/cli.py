@@ -18,8 +18,8 @@ D <= 221 (B) or D <= 220 (C).
 
 mine builds no complex: it counts each draw's faces from an occupancy
 bitset of its cells, and evaluates each distinct f-vector once. On a
-2-CPU VM it ran about 540 trials/s at --dim 6, 15 at --dim 8 and 1.4 at
---dim 9 (180 MB).
+2-CPU Xeon VM with Python 3.11 it ran about 250 trials/s at --dim 6, 6
+at --dim 8 and 0.5 at --dim 9 (180 MB).
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ EXIT_BUDGET = 3
 EXIT_CROSSCHECK = 4
 EXIT_VERIFY = 5
 
-# bits one mine trial may build: 10^9 admits --dim 9 (about 0.7 s and
-# 180 MB a trial) but not --dim 10, whose 10^10 bits are 1.25 GB
+# bits one mine trial may build: 10^9 admits --dim 9 (2 s, 180 MB a
+# trial on a 2-CPU Xeon VM), not --dim 10, whose 10^10 bits are 1.25 GB
 MINE_BIT_BUDGET = 10**9
 
 # str() of an int over 4300 digits raises (Python's default
@@ -250,8 +250,9 @@ def cmd_limit(args) -> int:
         )
     rows = []
     euler = chi if args.which == "hc" else None
-    for n, (vec, dist) in enumerate(_limit_rows(hsc, f_top, euler, range(args.max_n + 1))):
-        shapes = shape_predicates(vec)
+    # a row's numerators share one positive denominator, so keep its shapes
+    for n, (nums, dist) in enumerate(_limit_rows(hsc, f_top, euler, range(args.max_n + 1))):
+        shapes = shape_predicates(nums)
         rows.append(
             {
                 "n": n,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from ._base import _Record
-from .polytools import RatPoly, Scalar, _exact
+from .polytools import RatPoly, Scalar, _cleared, _exact, _mobius
 
 if TYPE_CHECKING:
     from .complex_core import CubicalComplex
@@ -104,20 +104,20 @@ def hsc_from_f(f: FVector) -> ShortHVector:
 
 
 def f_from_hsc(h: ShortHVector) -> FVector:
-    """Invert hsc_from_f: f_j = 2^(-j) sum_{i<=j} C(d-1-i, d-1-j) h_i.
+    """Invert hsc_from_f: f_j = 2^(-j) sum_{i<=j} C(d-1-i, d-1-j) h_i,
+    the coefficients of sum_i h_i x^i (x+2)^(d-1-i) / 2^(d-1).
 
     Raises ValueError at the first index where the result is not a
     nonnegative integer, which signals that h is not the short h-vector
     of any cubical complex.
     """
-    d = h.d
+    den, hs = _cleared(h.entries)
+    den <<= h.d - 1
     f = []
-    for j in range(d):
-        s = sum(math.comb(d - 1 - i, d - 1 - j) * h.entries[i] for i in range(j + 1))
-        fj = Fraction(s, 2**j)
-        if fj.denominator != 1 or fj < 0:
-            raise ValueError(f"entry f_{j} = {fj} is not a nonnegative integer")
-        f.append(int(fj))
+    for j, u in enumerate(_mobius(hs, 1, 0, 1, 2)):
+        if u % den or u < 0:
+            raise ValueError(f"entry f_{j} = {Fraction(u, den)} is not a nonnegative integer")
+        f.append(u // den)
     return FVector(tuple(f))
 
 
@@ -176,14 +176,9 @@ def euler_reduced(f: FVector) -> int:
 def check_long_short_identity(f: FVector) -> bool:
     """Verify (1+x) h^c(x) = 2^(d-1) + x h^sc(x) + 2^(d-1) (-x)^(d+1) chi~
     as exact polynomials, with every quantity derived from f."""
-    hsc = hsc_from_f(f)
+    hsc, top = hsc_from_f(f), 2 ** (f.d - 1)
     lhs = RatPoly((1, 1)) * _hc_recursion(hsc).polynomial()
-    return lhs == _long_short_rhs(f.d, hsc.polynomial(), euler_reduced(f))
-
-
-def _long_short_rhs(d: int, hsc: RatPoly, chi: int) -> RatPoly:
-    """2^(d-1) + x h^sc(x) + 2^(d-1) (-x)^(d+1) chi~, which is (1+x) h^c(x)."""
-    return RatPoly((2 ** (d - 1), *hsc.padded(d), (-1) ** (d + 1) * 2 ** (d - 1) * chi))
+    return lhs == RatPoly((top, *hsc.entries, (-1) ** (f.d + 1) * top * euler_reduced(f)))
 
 
 def summary(K: CubicalComplex) -> dict:

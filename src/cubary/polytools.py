@@ -170,18 +170,23 @@ def mobius_transform(p: RatPoly, a: int, b: int, c: int, e: int, m: int) -> RatP
     """Expand (c*x + e)^m * p((a*x + b) / (c*x + e)) exactly.
 
     Equals sum_k p_k (a*x + b)^k (c*x + e)^(m-k) for an int m >= deg(p),
-    summed by homogeneous Horner on p's cleared coefficients from k = m
-    down: acc (a*x + b) + p_k (c*x + e)^(m-k), two linear steps per k.
+    summed by _mobius on p's cleared coefficients.
     """
     if type(m) is not int or m < p.degree:
         raise ValueError(f"m={m!r} must be an int >= deg(p)={p.degree}")
     a, b, c, e = map(_exact, (a, b, c, e))
     den, ps = _cleared(p.padded(m + 1))
+    return RatPoly(Fraction(u, den) for u in _mobius(ps, a, b, c, e))
+
+
+def _mobius(ps: Sequence[int], a: int, b: int, c: int, e: int) -> list[int]:
+    """sum_k ps[k] (a*x + b)^k (c*x + e)^(m-k), m = len(ps) - 1, by homogeneous
+    Horner from k = m down: acc (a*x + b) + ps[k] (c*x + e)^(m-k)."""
     acc, power = [], [1]
     for pk in reversed(ps):
         acc = [u + pk * v for u, v in zip(_times(acc, b, a), power)]
         power = _times(power, e, c)
-    return RatPoly(Fraction(u, den) for u in acc)
+    return acc
 
 
 def _times(p: Sequence[Scalar], a: Scalar, b: Scalar) -> list:

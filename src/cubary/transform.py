@@ -20,8 +20,8 @@ from itertools import islice
 from math import comb
 
 from ._base import _Record
-from .face_vectors import FVector, LongHVector, ShortHVector, _long_short_rhs, hsc_from_hc
-from .polytools import RatPoly, Scalar, _cleared, _divided, _homogeneous, _times, mobius_transform
+from .face_vectors import FVector, LongHVector, ShortHVector, hsc_from_hc
+from .polytools import RatPoly, Scalar, _cleared, _divided, _homogeneous, _mobius, _times
 
 
 class CoeffMatrix(_Record):
@@ -186,16 +186,9 @@ def _check_c_bivariate(d: int, den: int, rows: tuple) -> None:
 def f_of_subdivision(f: FVector) -> FVector:
     """f-vector of the subdivision: f_i' = 2^i sum_{j>=i} C(j,i) f_j.
 
-    Exact integers; equivalent to substituting 1+2x into the
-    f-polynomial.
+    Exact integers; the f-polynomial with 1+2x substituted for x.
     """
-    d = f.d
-    return FVector(
-        tuple(
-            2**i * sum(comb(j, i) * f.entries[j] for j in range(i, d))
-            for i in range(d)
-        )
-    )
+    return FVector(_mobius(f.entries, 2, 1, 0, 1))
 
 
 def _warn_if_fractional(entries, what: str) -> None:
@@ -222,81 +215,98 @@ def hc_of_subdivision(h: LongHVector) -> LongHVector:
     return LongHVector(out)
 
 
-def hsc_poly_of_iterate(h: ShortHVector, n: int) -> RatPoly:
-    """Short h-polynomial after n subdivisions, in closed form.
+def _iterate(h: ShortHVector, euler: int | None, n: int) -> tuple[int, list[int]]:
+    """The short h-polynomial after n subdivisions (euler None) or the
+    long one (euler the reduced Euler characteristic), as d or d+1
+    integer numerators over one den > 0.
 
-    Substitutes ((2^n+1)x + 2^n-1) / ((2^n-1)x + 2^n+1) into the
-    polynomial of h, clears denominators to degree d-1, and scales by
-    2^-(d-1). For n=0 this is the identity; for n=1 it matches one
-    application of the B matrix.
+    The short one substitutes ((2^n+1)x + 2^n-1) / ((2^n-1)x + 2^n+1)
+    into h's polynomial, clears denominators to degree d-1 and scales by
+    2^-(d-1). The long one divides (1+x) h^c(x) = 2^(d-1) + x h^sc(x) +
+    2^(d-1) (-x)^(d+1) euler exactly by 1+x.
     """
     if type(n) is not int or n < 0:
         raise ValueError("n must be an int >= 0")
     d = h.d
-    a, b = 2**n + 1, 2**n - 1
-    return mobius_transform(h.polynomial(), a, b, b, a, d - 1) * Fraction(1, 2 ** (d - 1))
+    a, b, top = 2**n + 1, 2**n - 1, 2 ** (d - 1)
+    den, hs = _cleared(h.entries)
+    nums = _mobius(hs, a, b, b, a)
+    den *= top
+    if euler is not None:
+        nums = _divided([top * den, *nums, (-1) ** (d + 1) * top * euler * den], 1)
+    return den, nums
+
+
+def hsc_poly_of_iterate(h: ShortHVector, n: int) -> RatPoly:
+    """Short h-polynomial after n subdivisions, in closed form. For n=0
+    this is h's own; for n=1 it matches one application of the B matrix."""
+    den, nums = _iterate(h, None, n)
+    return RatPoly(Fraction(u, den) for u in nums)
+
+
+def hc_poly_of_iterate(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
+    """Long h-polynomial after n subdivisions, from the short iterate."""
+    if type(euler) is not int:  # None would ask _iterate for the short one
+        raise ValueError("euler must be an int")
+    den, nums = _iterate(hsc, euler, n)
+    return RatPoly(Fraction(u, den) for u in nums)
 
 
 def limit_distance_hsc(h: ShortHVector, f_top: int, n: int) -> Fraction:
     """Max-norm distance between the 2^-n(d-1)-scaled level-n short
     h-polynomial and its coefficientwise limit f_top * (x+1)^(d-1)."""
     d = h.d
+    rows = _limit_rows(h, f_top, None, (n,))
     if sum(h.entries) != 2 ** (d - 1) * f_top:
         raise ValueError(
             f"f_top={f_top} inconsistent with h: sum(h) = {sum(h.entries)} "
             f"!= 2^(d-1) * f_top = {2 ** (d - 1) * f_top}"
         )
-    return next(_limit_rows(h, f_top, None, (n,)))[1]
+    return next(rows)[1]
 
 
 def limit_distance_hc(h: LongHVector, f_top: int, euler: int, n: int) -> Fraction:
     """Max-norm distance between the 2^-n(d-1)-scaled level-n long
-    h-polynomial and its limit f_top * x * (x+1)^(d-2).
-
-    The level-n long polynomial is recovered from the level-n short one
-    through (1+x) h^c(x) = 2^(d-1) + x h^sc(x) + 2^(d-1) (-x)^(d+1) chi~,
-    divided exactly by 1+x.
-    """
+    h-polynomial and its limit f_top * x * (x+1)^(d-2)."""
     d = h.d
     if d < 2:
         raise ValueError("long h-vector limits need d >= 2")
+    if type(euler) is not int:  # None would ask _limit_rows for short rows
+        raise ValueError("euler must be an int")
+    hsc = hsc_from_hc(h)
+    rows = _limit_rows(hsc, f_top, euler, (n,))
     if h.entries[-1] != (-2) ** (d - 1) * euler:
         raise ValueError(
             f"euler={euler} inconsistent with h: h_d = {h.entries[-1]} "
             f"!= (-2)^(d-1) * euler = {(-2) ** (d - 1) * euler}"
         )
-    hsc = hsc_from_hc(h)
     if sum(hsc.entries) != 2 ** (d - 1) * f_top:
         raise ValueError(
             f"f_top={f_top} inconsistent with h: derived short h-vector "
             f"sums to {sum(hsc.entries)}, expected {2 ** (d - 1) * f_top}"
         )
-    return next(_limit_rows(hsc, f_top, euler, (n,)))[1]
-
-
-def hc_poly_of_iterate(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
-    """Long h-polynomial after n subdivisions, from the short iterate."""
-    rhs = _long_short_rhs(hsc.d, hsc_poly_of_iterate(hsc, n), euler)
-    return RatPoly(_divided(rhs.coeffs, 1))
+    return next(rows)[1]
 
 
 def _limit_rows(hsc: ShortHVector, f_top: int, euler: int | None, ns):
     """For each n in ns, the level-n short h-polynomial (euler None) or
-    long one (euler the reduced Euler characteristic), scaled by
-    2^-n(d-1) and padded to d or d+1 coefficients, and its max-norm
-    distance from the limit f_top (x+1)^(d-1) or f_top x (x+1)^(d-2).
+    long one (euler the reduced Euler characteristic) scaled by
+    2^-n(d-1), as the numerators of _iterate over 2^n(d-1) times its
+    den, and its max-norm distance from the limit f_top (x+1)^(d-1) or
+    f_top x (x+1)^(d-2). f_top is checked at the call, before the
+    callers' consistency checks multiply it.
     """
-    d = hsc.d
-    if euler is None:
-        limit, length = f_top * RatPoly((1, 1)) ** (d - 1), d
-    else:
-        limit, length = f_top * RatPoly.x() * RatPoly((1, 1)) ** (d - 2), d + 1
-    limit = limit.padded(length)
-    for n in ns:
-        p_n = hsc_poly_of_iterate(hsc, n) if euler is None else hc_poly_of_iterate(hsc, euler, n)
-        scaled = (p_n * Fraction(1, 2 ** (n * (d - 1)))).padded(length)
-        dist = max((abs(Fraction(a - b)) for a, b in zip(scaled, limit)), default=Fraction(0))
-        yield scaled, dist
+    if type(f_top) is not int:
+        raise ValueError("f_top must be an int")
+    d, long = hsc.d, euler is not None
+    limit = [0] * long + [f_top * comb(d - 1 - long, i) for i in range(d)]
+
+    def row(n):
+        den, nums = _iterate(hsc, euler, n)
+        den <<= n * (d - 1)
+        return nums, Fraction(max(abs(u - den * v) for u, v in zip(nums, limit)), den)
+
+    return map(row, ns)
 
 
 def _distance_bits(hsc: ShortHVector, f_top: int, euler: int, n: int) -> int:

@@ -1,8 +1,10 @@
 """The seed's trial-division root search, Fraction-evaluated C-matrix
 cross-check, term-by-term alternating sums, Fraction matrix-vector
 product, Fraction-built B and C matrices, Fraction Euclid behind the
-gcd, square-free part and Sturm counts, and the Moebius substitution by
-``RatPoly`` powers, kept as test oracles.
+gcd, square-free part and Sturm counts, the Moebius substitution by
+``RatPoly`` powers, the Fraction route from the Moebius substitution to
+the iterates and the limit rows, and the double sums behind
+``f_of_subdivision`` and ``f_from_hsc``, kept as test oracles.
 
 ``cubary.rational_roots`` replaced the divisor search with Sturm
 isolation and bisection over integers, ``_check_c_bivariate`` now
@@ -13,10 +15,14 @@ and ``_c_closed_forms`` build integer columns over 2^(d-1) and convert
 each entry once, and ``poly_gcd``, ``square_free_part``,
 ``real_root_count`` and ``is_real_rooted`` read one primitive integer
 Sturm sequence, and ``mobius_transform`` sums by homogeneous Horner with
-one linear factor per step. The oracles below are the earlier code,
-unchanged but for their names; they take time exponential in the
-coefficient bit size (roots), rebuild every power as a ``Fraction``
-(bivariate check, the matrix builders and the substitution), take
+one linear factor per step; the iterates, ``_limit_rows``,
+``f_of_subdivision`` and ``f_from_hsc`` run that sum on integer
+numerators and form Fractions only in what they return. The oracles
+below are the earlier code, unchanged but for their names (the iterates
+substitute with ``mobius_transform_oracle``, so they do not share the
+integer Horner sum); they take time exponential in the coefficient bit
+size (roots), rebuild every power as a ``Fraction`` (bivariate check,
+the matrix builders, the substitution and the iterates), take
 O(d^3) additions (alternating sums) or grow Fraction remainders to
 about degree^5 time (Euclid), so tests feed them small inputs only.
 """
@@ -26,8 +32,8 @@ from fractions import Fraction
 
 from typing import Sequence
 
-from cubary import CoeffMatrix, RatPoly, b_matrix
-from cubary.polytools import Scalar
+from cubary import CoeffMatrix, FVector, RatPoly, ShortHVector, b_matrix, hsc_from_hc
+from cubary.polytools import Scalar, _divided
 
 
 def rational_roots_oracle(p: RatPoly) -> list[Fraction]:
@@ -265,3 +271,116 @@ def mobius_transform_oracle(p: RatPoly, a: int, b: int, c: int, e: int, m: int) 
             continue
         acc = acc + pk * num**k * den ** (m - k)
     return acc
+
+
+def f_of_subdivision_oracle(f: FVector) -> FVector:
+    """f-vector of the subdivision: f_i' = 2^i sum_{j>=i} C(j,i) f_j.
+
+    Exact integers; equivalent to substituting 1+2x into the
+    f-polynomial.
+    """
+    d = f.d
+    return FVector(
+        tuple(
+            2**i * sum(math.comb(j, i) * f.entries[j] for j in range(i, d))
+            for i in range(d)
+        )
+    )
+
+
+def f_from_hsc_oracle(h: ShortHVector) -> FVector:
+    """Invert hsc_from_f: f_j = 2^(-j) sum_{i<=j} C(d-1-i, d-1-j) h_i.
+
+    Raises ValueError at the first index where the result is not a
+    nonnegative integer, which signals that h is not the short h-vector
+    of any cubical complex.
+    """
+    d = h.d
+    f = []
+    for j in range(d):
+        s = sum(math.comb(d - 1 - i, d - 1 - j) * h.entries[i] for i in range(j + 1))
+        fj = Fraction(s, 2**j)
+        if fj.denominator != 1 or fj < 0:
+            raise ValueError(f"entry f_{j} = {fj} is not a nonnegative integer")
+        f.append(int(fj))
+    return FVector(tuple(f))
+
+
+def long_short_rhs_oracle(d: int, hsc: RatPoly, chi: int) -> RatPoly:
+    """2^(d-1) + x h^sc(x) + 2^(d-1) (-x)^(d+1) chi~, which is (1+x) h^c(x)."""
+    return RatPoly((2 ** (d - 1), *hsc.padded(d), (-1) ** (d + 1) * 2 ** (d - 1) * chi))
+
+
+def hsc_poly_of_iterate_oracle(h: ShortHVector, n: int) -> RatPoly:
+    """Short h-polynomial after n subdivisions, in closed form.
+
+    Substitutes ((2^n+1)x + 2^n-1) / ((2^n-1)x + 2^n+1) into the
+    polynomial of h, clears denominators to degree d-1, and scales by
+    2^-(d-1). For n=0 this is the identity; for n=1 it matches one
+    application of the B matrix.
+    """
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an int >= 0")
+    d = h.d
+    a, b = 2**n + 1, 2**n - 1
+    return mobius_transform_oracle(h.polynomial(), a, b, b, a, d - 1) * Fraction(1, 2 ** (d - 1))
+
+
+def hc_poly_of_iterate_oracle(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
+    """Long h-polynomial after n subdivisions, from the short iterate."""
+    rhs = long_short_rhs_oracle(hsc.d, hsc_poly_of_iterate_oracle(hsc, n), euler)
+    return RatPoly(_divided(rhs.coeffs, 1))
+
+
+def limit_rows_oracle(hsc: ShortHVector, f_top: int, euler, ns):
+    """For each n in ns, the level-n short h-polynomial (euler None) or
+    long one (euler the reduced Euler characteristic), scaled by
+    2^-n(d-1) and padded to d or d+1 coefficients, and its max-norm
+    distance from the limit f_top (x+1)^(d-1) or f_top x (x+1)^(d-2).
+    """
+    d = hsc.d
+    if euler is None:
+        limit, length = f_top * RatPoly((1, 1)) ** (d - 1), d
+    else:
+        limit, length = f_top * RatPoly.x() * RatPoly((1, 1)) ** (d - 2), d + 1
+    limit = limit.padded(length)
+    for n in ns:
+        p_n = (
+            hsc_poly_of_iterate_oracle(hsc, n) if euler is None
+            else hc_poly_of_iterate_oracle(hsc, euler, n)
+        )
+        scaled = (p_n * Fraction(1, 2 ** (n * (d - 1)))).padded(length)
+        dist = max((abs(Fraction(a - b)) for a, b in zip(scaled, limit)), default=Fraction(0))
+        yield scaled, dist
+
+
+def limit_distance_hsc_oracle(h: ShortHVector, f_top: int, n: int) -> Fraction:
+    """Max-norm distance between the 2^-n(d-1)-scaled level-n short
+    h-polynomial and its coefficientwise limit f_top * (x+1)^(d-1)."""
+    d = h.d
+    if sum(h.entries) != 2 ** (d - 1) * f_top:
+        raise ValueError(
+            f"f_top={f_top} inconsistent with h: sum(h) = {sum(h.entries)} "
+            f"!= 2^(d-1) * f_top = {2 ** (d - 1) * f_top}"
+        )
+    return next(limit_rows_oracle(h, f_top, None, (n,)))[1]
+
+
+def limit_distance_hc_oracle(h, f_top: int, euler: int, n: int) -> Fraction:
+    """Max-norm distance between the 2^-n(d-1)-scaled level-n long
+    h-polynomial and its limit f_top * x * (x+1)^(d-2)."""
+    d = h.d
+    if d < 2:
+        raise ValueError("long h-vector limits need d >= 2")
+    if h.entries[-1] != (-2) ** (d - 1) * euler:
+        raise ValueError(
+            f"euler={euler} inconsistent with h: h_d = {h.entries[-1]} "
+            f"!= (-2)^(d-1) * euler = {(-2) ** (d - 1) * euler}"
+        )
+    hsc = hsc_from_hc(h)
+    if sum(hsc.entries) != 2 ** (d - 1) * f_top:
+        raise ValueError(
+            f"f_top={f_top} inconsistent with h: derived short h-vector "
+            f"sums to {sum(hsc.entries)}, expected {2 ** (d - 1) * f_top}"
+        )
+    return next(limit_rows_oracle(hsc, f_top, euler, (n,)))[1]

@@ -20,8 +20,13 @@ has a Fraction. ``mobius_transform`` must equal the seed's substitution
 by ``RatPoly`` powers, value and coefficient type, on signed, big and
 Fraction coefficients, the zero polynomial, a..e in -3..3 and m from
 deg p to deg p + 3 (fixed seed and hypothesis), and both must refuse
-bool and float a..e with TypeError. The last tests guard the inputs on
-which the seed's routines hung.
+bool and float a..e with TypeError. ``TestFormerHangs`` guards the
+inputs on which the seed's routines hung. ``TestIterateOracles`` requires
+the iterates, ``limit_distance_hsc``/``limit_distance_hc``,
+``_limit_rows``, ``f_of_subdivision`` and ``f_from_hsc`` to give the
+Fraction route's values and types, or its error type and text, on the
+corpus for n = -1..40 and on fixed-seed and hypothesis h-vectors with
+int and Fraction entries.
 """
 
 import hashlib
@@ -42,15 +47,24 @@ from cubary import (
     ShortHVector,
     b_matrix,
     c_matrix,
+    check_long_short_identity,
+    euler_reduced,
+    f_from_hsc,
+    f_of_subdivision,
     f_vector,
+    hc_from_hsc,
     hc_of_subdivision,
+    hc_poly_of_iterate,
     hsc_from_f,
     hsc_of_subdivision,
     hsc_poly_of_iterate,
     is_real_rooted,
+    limit_distance_hc,
+    limit_distance_hsc,
     mobius_transform,
     rational_roots,
     real_root_count,
+    shape_predicates,
 )
 from cubary import transform
 from cubary.cli import main
@@ -63,7 +77,14 @@ from exact_oracle import (
     c_alternating_sums_oracle,
     c_closed_forms_oracle,
     check_c_bivariate_oracle,
+    f_from_hsc_oracle,
+    f_of_subdivision_oracle,
+    hc_poly_of_iterate_oracle,
+    hsc_poly_of_iterate_oracle,
     is_real_rooted_oracle,
+    limit_distance_hc_oracle,
+    limit_distance_hsc_oracle,
+    limit_rows_oracle,
     mobius_transform_oracle,
     poly_gcd_oracle,
     rational_roots_oracle,
@@ -407,3 +428,136 @@ class TestFormerHangs:
         C = c_matrix(30)
         assert time.perf_counter() - start < 5
         assert C.size == 31 and C.entries[0][0] == 1
+
+
+def _outcome(fn, *args) -> tuple:
+    """fn's result with its value types (an FVector's entries), or the
+    type and message of the error it raised."""
+    try:
+        result = fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return _typed(result.entries if isinstance(result, FVector) else result)
+
+
+def _same(pairs) -> None:
+    for routine, oracle, args in pairs:
+        assert _outcome(routine, *args) == _outcome(oracle, *args), (routine.__name__, args)
+
+
+def _rows_agree(h: ShortHVector, f_top: int, euler, ns) -> None:
+    """_limit_rows against the oracle: each distance by value and type,
+    each row's numerators over _iterate's den times 2^n(d-1) by value and
+    by shape, and the first error by type and message."""
+    got, want = transform._limit_rows(h, f_top, euler, ns), limit_rows_oracle(h, f_top, euler, ns)
+    for n in ns:
+        try:
+            scaled, dist = next(want)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                next(got)
+            assert str(caught.value) == str(exc), (h, euler, n)
+            return
+        nums, got_dist = next(got)
+        assert _typed(got_dist) == _typed(dist), (h, euler, n)
+        den = transform._iterate(h, euler, n)[0] << n * (h.d - 1)
+        assert [Fraction(u, den) for u in nums] == list(scaled), (h, euler, n)
+        assert shape_predicates(nums) == shape_predicates(scaled), (h, euler, n)
+
+
+def iterate_input(randint) -> tuple:
+    """(h, f_top, euler) for the iterates and the limit rows, each size
+    drawn by randint(lo, hi): 1 <= d <= 6 entries, each a small signed int
+    or a Fraction. Two draws in three then set h's last entry so that 1+x
+    divides the long right-hand side for euler; the rest keep a random
+    euler, for which it usually does not. f_top is sum(h) / 2^(d-1) when
+    that is an int, as a complex's would be, else a random int."""
+    d = randint(1, 6)
+    top = 2 ** (d - 1)
+    h = [randint(-20, 20) for _ in range(d)]
+    h = [Fraction(x, randint(1, 8)) if randint(0, 1) else x for x in h]
+    euler = randint(-5, 5)
+    if randint(0, 2):
+        # (1+x) divides it exactly when h(-1) = 2^(d-1) (1 + euler)
+        rest = sum((-1) ** i * x for i, x in enumerate(h[:-1]))
+        h[-1] = (-1) ** (d - 1) * (top * (1 + euler) - rest)
+    h = ShortHVector(h)
+    f_top = Fraction(sum(h.entries), top)
+    return h, int(f_top) if f_top.denominator == 1 else randint(-5, 30), euler
+
+
+def _iterates_agree(h: ShortHVector, f_top: int, euler: int, ns) -> None:
+    _same((hsc_poly_of_iterate, hsc_poly_of_iterate_oracle, (h, n)) for n in ns)
+    _same((hc_poly_of_iterate, hc_poly_of_iterate_oracle, (h, euler, n)) for n in ns)
+    _same([(f_from_hsc, f_from_hsc_oracle, (h,))])
+    _rows_agree(h, f_top, None, ns)
+    if h.d >= 2:
+        _rows_agree(h, f_top, euler, ns)
+
+
+class TestIterateOracles:
+    @pytest.mark.parametrize("which", ["hsc", "hc"])
+    def test_corpus(self, which):
+        ns = range(-1, 41)
+        for _, K in default_corpus():
+            f = f_vector(K)
+            h, d, f_top, chi = hsc_from_f(f), f.d, f.entries[-1], euler_reduced(f)
+            if which == "hsc":
+                _same((hsc_poly_of_iterate, hsc_poly_of_iterate_oracle, (h, n)) for n in ns)
+                _same(
+                    (limit_distance_hsc, limit_distance_hsc_oracle, (h, t, n))
+                    for n in ns for t in (f_top, f_top + 1)
+                )
+                _rows_agree(h, f_top, None, range(41))
+                continue
+            hc = hc_from_hsc(h)
+            _same(
+                (hc_poly_of_iterate, hc_poly_of_iterate_oracle, (h, e, n))
+                for n in ns for e in (chi, chi + 1)
+            )
+            _same(
+                (limit_distance_hc, limit_distance_hc_oracle, (hc, t, e, n))
+                for n in ns for t, e in ((f_top, chi), (f_top + 1, chi), (f_top, chi + 1))
+            )
+            if d >= 2:
+                _rows_agree(h, f_top, chi, range(41))
+
+    def test_f_vector_substitutions_on_the_corpus(self):
+        for _, K in default_corpus():
+            f = f_vector(K)
+            h = hsc_from_f(f)
+            _same([
+                (f_of_subdivision, f_of_subdivision_oracle, (f,)),
+                (f_from_hsc, f_from_hsc_oracle, (h,)),
+                (f_from_hsc, f_from_hsc_oracle, (ShortHVector((*h.entries[:-1], h.entries[-1] + 1)),)),
+            ])
+            assert f_from_hsc(h) == f
+            assert check_long_short_identity(f) is True
+        for h in ((-1,), (0,), (2, 1), (2, -8), (Fraction(1, 2), 3), (4, Fraction(-4, 3), 0)):
+            _same([(f_from_hsc, f_from_hsc_oracle, (ShortHVector(h),))])
+
+    def test_fixed_seed(self):
+        rng = random.Random(2008)
+        for _ in range(150):
+            h, f_top, euler = iterate_input(rng.randint)
+            _iterates_agree(h, f_top, euler, range(9))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_hypothesis(self, data):
+        h, f_top, euler = iterate_input(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        _iterates_agree(h, f_top, euler, range(9))
+        hc = hc_from_hsc(h)
+        _same(
+            (limit_distance_hc, limit_distance_hc_oracle, (hc, f_top, euler, n)) for n in range(4)
+        )
+        _same(
+            (limit_distance_hsc, limit_distance_hsc_oracle, (h, f_top, n)) for n in range(4)
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(f=st.lists(st.integers(0, 10**30), min_size=1, max_size=12).filter(lambda f: f[-1] > 0))
+    def test_f_of_subdivision_hypothesis(self, f):
+        _same([(f_of_subdivision, f_of_subdivision_oracle, (FVector(f),))])
+        h = hsc_from_f(FVector(f))
+        _same([(f_from_hsc, f_from_hsc_oracle, (h,))])

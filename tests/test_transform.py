@@ -18,6 +18,7 @@ from cubary import (
     gen_cube_boundary,
     hc_from_hsc,
     hc_of_subdivision,
+    hc_poly_of_iterate,
     hsc_from_f,
     hsc_of_subdivision,
     hsc_poly_of_iterate,
@@ -345,6 +346,10 @@ INT_PARAMETERS = {
     "b_matrix": b_matrix,
     "c_matrix": c_matrix,
     "hsc_poly_of_iterate": lambda v: hsc_poly_of_iterate(ShortHVector((1, 1)), v),
+    # f_top and euler: (4, 0) has euler 1, and (2, 1, -2) has f_top 1 and euler 1
+    "limit_distance_hsc": lambda v: limit_distance_hsc(ShortHVector((1, 1)), v, 1),
+    "hc_poly_of_iterate": lambda v: hc_poly_of_iterate(ShortHVector((4, 0)), v, 1),
+    "limit_distance_hc": lambda v: limit_distance_hc(LongHVector((2, 1, -2)), 1, v, 1),
     "mobius_transform": lambda v: mobius_transform(RatPoly((1, 1)), 1, 0, 0, 1, v),
     "subdivide_n": lambda v: subdivide_n(gen_cube(1), v),
     "gen_cube": gen_cube,
@@ -362,3 +367,19 @@ def test_bool_parameters_are_refused(name, warm):
         call(1)
     with pytest.raises(ValueError):
         call(True)
+
+
+@pytest.mark.parametrize("bad", [6.0, Fraction(6), True, None, "6"], ids=repr)
+def test_limit_parameters_must_be_ints(bad):
+    # each bad value sits where 6 (f_top) or 1 (euler) is consistent with h;
+    # a float, bool or Fraction used to pass the consistency checks
+    with pytest.raises(ValueError, match="f_top must be an int"):
+        limit_distance_hsc(ShortHVector((8, 8, 8)), bad, 1)
+    with pytest.raises(ValueError, match="f_top must be an int"):
+        limit_distance_hc(LongHVector((4, 4, 4, 4)), bad, 1, 1)
+    with pytest.raises(ValueError, match="euler must be an int"):
+        hc_poly_of_iterate(ShortHVector((8, 8, 8)), bad, 1)
+    with pytest.raises(ValueError, match="euler must be an int"):
+        limit_distance_hc(LongHVector((4, 4, 4, 4)), 6, bad, 1)
+    with pytest.raises(ValueError, match="f_top must be an int"):
+        _limit_rows(ShortHVector((8, 8, 8)), bad, None, range(3))
