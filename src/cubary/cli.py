@@ -18,8 +18,8 @@ D <= 221 (B) or D <= 220 (C).
 
 mine builds no complex: it counts each draw's faces from an occupancy
 bitset of its cells, and evaluates each distinct f-vector once. On a
-2-CPU Xeon VM with Python 3.11 it ran about 250 trials/s at --dim 6, 6
-at --dim 8 and 0.5 at --dim 9 (180 MB).
+2-CPU Xeon VM with Python 3.11 it ran about 275 trials/s at --dim 6, 13
+at --dim 8 and 2.5 at --dim 9 (55 MB).
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ EXIT_BUDGET = 3
 EXIT_CROSSCHECK = 4
 EXIT_VERIFY = 5
 
-# bits one mine trial may build: 10^9 admits --dim 9 (2 s, 180 MB a
-# trial on a 2-CPU Xeon VM), not --dim 10, whose 10^10 bits are 1.25 GB
+# bits one mine trial may build: 10^9 admits --dim 9 (0.4 s, 55 MB a
+# trial on a 2-CPU Xeon VM). With D + 1 bitsets alive at once, the 10^D
+# bits bound the work, not the memory: a --dim 10 trial takes ten times longer
 MINE_BIT_BUDGET = 10**9
 
 # str() of an int over 4300 digits raises (Python's default

@@ -187,7 +187,7 @@ class CubicalComplex(_Frozen):
         return False
 
     def _check_id(self, fid: int):
-        if not isinstance(fid, int) or not 0 <= fid < len(self.dims):
+        if type(fid) is not int or not 0 <= fid < len(self.dims):
             raise ValueError(f"invalid face id {fid!r}")
 
     def _json_keys(self) -> tuple[str, ...]:
@@ -219,9 +219,10 @@ class CubicalComplex(_Frozen):
         """Ingest the JSON format, re-canonicalizing ids.
 
         Structural problems (wrong JSON types, bad ids, duplicate keys,
-        dim mismatch) raise ValueError; poset-axiom violations are left
-        for validate(). Ids and dims must be JSON integers, not floats or
-        booleans; covered must be a list of ids and key a string.
+        dim mismatch, an id repeated in one face's covers) raise
+        ValueError; poset-axiom violations are left for validate(). Ids
+        and dims must be JSON integers, not floats or booleans; covered
+        must be a list of ids and key a string.
         """
         try:
             declared = obj["dim"]
@@ -276,6 +277,11 @@ class CubicalComplex(_Frozen):
         K = cls._from_table(dims, covered, keys)
         if K.dim != declared:
             raise ValueError(f"declared dim {declared} != max face dim {K.dim}")
+        # the complex keeps each cover once, so a repeat shortens the total
+        if len(flat) != sum(map(len, K._cov)):
+            fid, cov = next(row for row in enumerate(covered) if len(set(row[1])) < len(row[1]))
+            repeated = next(c for c in cov if cov.count(c) > 1)
+            raise ValueError(f"face {fid} covers id {repeated} more than once")
         return K
 
     @classmethod
@@ -517,26 +523,25 @@ def _voxel_f_counts(spec: VoxelSpec) -> list[int]:
     """
     D = spec.ambient_dim
     axes = list(zip(*spec.corners))
-    strides = [1]  # strides[i] is axis i's place value; the last is unused
+    strides = [1]  # strides[i] is axis i's place value; the last is the bit count
     for axis in axes:
         strides.append(strides[-1] * (max(axis) - min(axis) + 2))
     origin = sum(min(axis) * s for axis, s in zip(axes, strides))
-    cells = 0
+    # one digit per bit, highest first, which int() parses in linear time
+    bitmap = bytearray(b"0") * strides[-1]
     for c in spec.corners:
-        bit = -origin
-        for x, s in zip(c, strides):
-            bit += x * s
-        cells |= 1 << bit
-    # spread[fixed] is the set of face corners when the axes in `fixed`
-    # are fixed; each set extends the one without its lowest axis
-    spread = [cells]
-    for fixed in range(1, 1 << D):
-        lowest = fixed & -fixed
-        prev = spread[fixed ^ lowest]
-        spread.append(prev | prev << strides[lowest.bit_length() - 1])
+        bitmap[origin - 1 - sum(map(operator.mul, c, strides))] = ord("1")
     f = [0] * (D + 1)
-    for fixed, corners in enumerate(spread):
-        f[D - fixed.bit_count()] += corners.bit_count()
+
+    # Fixing an axis spreads the face corners by +1 along it. Each set of
+    # fixed axes extends the one without its lowest axis, depth first, so
+    # only the sets on the current path, at most D + 1, are alive.
+    def walk(corners: int, below: int, free: int) -> None:
+        f[free] += corners.bit_count()
+        for axis in range(below):
+            walk(corners | corners << strides[axis], axis, free - 1)
+
+    walk(int(bitmap, 2), D, D)
     return f
 
 

@@ -7,7 +7,6 @@ cubes and cube boundaries up to d=4, single voxels, a 2-edge path, a
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 
@@ -33,11 +32,8 @@ def default_corpus() -> list[tuple[str, CubicalComplex]]:
 
 GRID_SIDE = 4
 
-
-@functools.lru_cache(maxsize=8)
-def _grid_cells(dim: int) -> tuple[tuple[int, ...], ...]:
-    """Corners of the side-4 grid's cells in lexicographic order."""
-    return tuple(itertools.product(range(GRID_SIDE), repeat=dim))
+# maps a byte to its top bit
+_TOP_BIT = bytes(128) + bytes([1]) * 128
 
 
 def bernoulli_voxel_spec(rng: random.Random, dim: int) -> VoxelSpec:
@@ -48,10 +44,13 @@ def bernoulli_voxel_spec(rng: random.Random, dim: int) -> VoxelSpec:
     order). Empty draws are discarded and redrawn, so the result is
     always a nonempty complex; everything is deterministic given the
     generator state.
+
+    CPython's getrandbits(1) is the top bit of one 32-bit word, and
+    getrandbits(32 n) packs n words, lowest first: same bits, same state.
     """
-    cells = _grid_cells(dim)
-    while True:
-        corners = tuple(c for c in cells if rng.getrandbits(1))
+    n = GRID_SIDE**dim
+    while True:  # bytes 3, 7, 11, ... are the words' top bytes
+        keep = rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4].translate(_TOP_BIT)
+        corners = tuple(itertools.compress(itertools.product(range(GRID_SIDE), repeat=dim), keep))
         if corners:
             return VoxelSpec(dim, corners)
-

@@ -94,6 +94,8 @@ def subdivide_n(
     """
     if type(n) is not int or n < 0:
         raise ValueError("n must be an int >= 0")
+    if type(face_budget) is not int or face_budget < 0:
+        raise ValueError("face_budget must be an int >= 0")
     max_key = max(map(len, K.keys), default=0)
     for step in range(1, n + 1):
         f = [0] * (K.dim + 1)

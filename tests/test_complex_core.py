@@ -214,6 +214,14 @@ class TestPosetOrder:
         with pytest.raises(ValueError):
             K.leq(-1, 0)
 
+    @pytest.mark.parametrize("fid", [False, True, 1.0])
+    def test_non_int_id_rejected(self, fid):
+        # False and True equal the ids 0 and 1, which isinstance admitted
+        K = gen_cube(1)
+        for call in (lambda: K.lower_set(fid), lambda: K.leq(fid, 2), lambda: K.leq(0, fid)):
+            with pytest.raises(ValueError, match=re.escape(f"invalid face id {fid!r}")):
+                call()
+
     def test_lower_set_of_top_cell_is_everything(self):
         K = gen_cube(2)
         (top,) = [i for i, d in enumerate(K.dims) if d == 2]
@@ -313,6 +321,33 @@ class TestSerialization:
         mutate(obj)
         with pytest.raises(ValueError):
             CubicalComplex.from_json_obj(obj)
+
+    # two vertices and an edge over them, its covers repeating an id;
+    # the decoder used to merge the repeats and build a segment
+    REPEATED_COVERS = [
+        ([[], [], [0, 0, 1, 1, 1]], "face 2 covers id 0 more than once"),
+        ([[], [], [1, 0, 1]], "face 2 covers id 1 more than once"),
+    ]
+
+    @pytest.mark.parametrize("covers,message", REPEATED_COVERS)
+    def test_repeated_cover_rejected(self, covers, message):
+        faces = [
+            {"id": i, "dim": int(len(c) > 0), "covered": c, "key": k}
+            for i, (c, k) in enumerate(zip(covers, "abe"))
+        ]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CubicalComplex.from_json_obj({"dim": 1, "faces": faces})
+
+    def test_repeated_cover_named_by_input_id(self):
+        # listed out of canonical order, so the decoder renumbers the rows
+        faces = [
+            {"id": 0, "dim": 1, "covered": [1, 2], "key": "e"},
+            {"id": 1, "dim": 0, "covered": [], "key": "a"},
+            {"id": 2, "dim": 0, "covered": [], "key": "b"},
+            {"id": 3, "dim": 1, "covered": [2, 1, 2], "key": "f"},
+        ]
+        with pytest.raises(ValueError, match="^face 3 covers id 2 more than once$"):
+            CubicalComplex.from_json_obj({"dim": 1, "faces": faces})
 
     def test_bad_json_text(self):
         with pytest.raises(ValueError):

@@ -352,6 +352,8 @@ INT_PARAMETERS = {
     "limit_distance_hc": lambda v: limit_distance_hc(LongHVector((2, 1, -2)), 1, v, 1),
     "mobius_transform": lambda v: mobius_transform(RatPoly((1, 1)), 1, 0, 0, 1, v),
     "subdivide_n": lambda v: subdivide_n(gen_cube(1), v),
+    # the point's one-face subdivision fits a budget of 1
+    "subdivide_n_face_budget": lambda v: subdivide_n(gen_cube(0), 1, face_budget=v),
     "gen_cube": gen_cube,
     "gen_cube_boundary": gen_cube_boundary,
 }
@@ -367,6 +369,13 @@ def test_bool_parameters_are_refused(name, warm):
         call(1)
     with pytest.raises(ValueError):
         call(True)
+
+
+@pytest.mark.parametrize("bad", [None, 1.5, 99.5, -1], ids=repr)
+def test_face_budget_must_be_an_int(bad):
+    # None used to die inside the projection, and a float was compared
+    with pytest.raises(ValueError, match="face_budget must be an int >= 0"):
+        subdivide_n(gen_cube(1), 1, face_budget=bad)
 
 
 @pytest.mark.parametrize("bad", [6.0, Fraction(6), True, None, "6"], ids=repr)

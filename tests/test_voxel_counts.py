@@ -5,6 +5,11 @@ fixed-seed draws of the random voxel model in dimensions 1-4, on
 hypothesis-drawn specs with negative and non-contiguous corners, and on
 the default corpus's voxel specs. In dimensions 5 and 6, where the poset
 is slow to build, it must equal the set count in ``conftest.py``.
+
+The grid draw and the count must also match the per-cell draw and the
+spread-list count kept in ``voxel_oracle.py``: the same corners, the same
+f-vectors and the same generator state after every draw, in dimensions
+1-9 under fixed and hypothesis-drawn seeds, empty dim-1 redraws included.
 """
 
 import random
@@ -18,6 +23,7 @@ from cubary import corpus as corpus_mod
 from cubary.complex_core import _voxel_f_counts
 from cubary.corpus import bernoulli_voxel_spec
 from conftest import voxel_face_set_fvector
+from voxel_oracle import bernoulli_voxel_spec_oracle, voxel_f_counts_oracle
 
 
 def poset_fvector(spec: VoxelSpec) -> list[int]:
@@ -76,3 +82,41 @@ def test_high_dimensional_draws_match_the_face_set(dim, seed, draws):
 @given(spec=voxel_specs(st.integers(5, 6), st.integers(-2, 3)))
 def test_sparse_high_dimensional_specs_match_the_face_set(spec):
     assert _voxel_f_counts(spec) == voxel_face_set_fvector(spec)
+
+
+def assert_draws_match_the_oracle(seed: int, dim: int, draws: int) -> int:
+    """Compare `draws` draws from two generators seeded alike; returns how
+    many of them redrew an empty grid."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    redraws = 0
+    for _ in range(draws):
+        if dim == 1:  # the four cells' bits, read from a copy of the state
+            probe = random.Random()
+            probe.setstate(rng.getstate())
+            redraws += not any(probe.getrandbits(1) for _ in range(4))
+        spec = bernoulli_voxel_spec(rng, dim)
+        want = bernoulli_voxel_spec_oracle(oracle_rng, dim)
+        assert spec.corners == want.corners
+        assert rng.getstate() == oracle_rng.getstate()
+        assert _voxel_f_counts(spec) == voxel_f_counts_oracle(want), spec.corners
+    return redraws
+
+
+@pytest.mark.parametrize(
+    "dim,seed,draws",
+    [(1, 901, 300), (2, 902, 100), (3, 903, 30), (4, 904, 10), (5, 905, 4),
+     (6, 906, 2), (7, 907, 1), (8, 908, 1), (9, 909, 1)],
+)
+def test_draws_and_counts_match_the_oracle(dim, seed, draws):
+    assert_draws_match_the_oracle(seed, dim, draws)
+
+
+def test_dim_1_redraws_match_the_oracle():
+    # each dim-1 draw is empty with probability 1/16
+    assert assert_draws_match_the_oracle(910, 1, 300) > 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), dim=st.integers(1, 7), draws=st.integers(1, 4))
+def test_hypothesis_seeds_match_the_oracle(seed, dim, draws):
+    assert_draws_match_the_oracle(seed, dim, draws)
