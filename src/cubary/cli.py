@@ -14,12 +14,14 @@ mine --dim D when a trial's 10^D bitset bits exceed 10^9, so mine takes
 D <= 9, limit --max-n N, before its first row, when a row's distance
 projects an integer over 4300 digits, which Python will not print, and
 coeffs -d D when its output projects over 10^7 bytes, so coeffs takes
-D <= 221 (B) or D <= 220 (C).
+D <= 221 (B) or D <= 220 (C). verify exits 3 before subdividing a stdin
+complex whose subdivision projects over the default face budget.
 
-mine builds no complex: it counts each draw's faces from an occupancy
-bitset of its cells, and evaluates each distinct f-vector once. On a
-2-CPU Xeon VM with Python 3.11 it ran about 275 trials/s at --dim 6, 13
-at --dim 8 and 2.5 at --dim 9 (55 MB).
+mine builds no complex and loads no poset layer: it counts each draw's
+faces from one bitset of its cells, builds corner tuples only for a
+finding, and evaluates each distinct f-vector once. On a 2-CPU Xeon VM
+with Python 3.11 it ran about 1,000 trials/s at --dim 6, 45 at --dim 8
+and 5 at --dim 9 (25 MB).
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ EXIT_BUDGET = 3
 EXIT_CROSSCHECK = 4
 EXIT_VERIFY = 5
 
-# bits one mine trial may build: 10^9 admits --dim 9 (0.4 s, 55 MB a
-# trial on a 2-CPU Xeon VM). With D + 1 bitsets alive at once, the 10^D
+# bits one mine trial may build: 10^9 admits --dim 9 (0.2 s a trial, 25 MB
+# a process on a 2-CPU Xeon VM). With D + 1 bitsets alive at once, the 10^D
 # bits bound the work, not the memory: a --dim 10 trial takes ten times longer
 MINE_BIT_BUDGET = 10**9
 
@@ -201,6 +203,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .subdivision import FaceBudgetExceeded
     from .verify import run_suites
 
     if args.corpus is not None:
@@ -209,7 +212,10 @@ def cmd_verify(args) -> int:
         complexes = default_corpus()
     else:
         complexes = [("stdin", _complex_from_stdin())]
-    report = run_suites(args.suite, complexes)
+    try:
+        report = run_suites(args.suite, complexes)
+    except FaceBudgetExceeded as exc:
+        raise _Failure(EXIT_BUDGET, str(exc)) from exc
     _emit(report)
     if not report["ok"]:
         first = next(r for r in report["checks"] if not r["ok"])
@@ -302,20 +308,19 @@ def cmd_mine(args) -> int:
         raise _Failure(EXIT_INPUT, "dim must be >= 1")
     if args.trials < 0:
         raise _Failure(EXIT_INPUT, "trials must be >= 0")
-    # a trial builds 2^dim bitsets of 5^dim bits each over the side-4 grid
+    # a trial walks 2^dim bitsets of 5^dim bits each, at most dim + 1 alive
     _check_budget(f"--dim {args.dim}", 10, args.dim, unit="bit", budget=MINE_BIT_BUDGET)
     import random
 
-    from .complex_core import _voxel_f_counts
-    from .corpus import bernoulli_voxel_spec
+    from .corpus import _corners, _draw, _f_counts
 
     rng = random.Random(args.seed)
     # small draws repeat f-vectors often; bounded, as at dim >= 5 all differ
     evaluate = functools.lru_cache(maxsize=4096)(_evaluate)
     findings = 0
     for trial in range(args.trials):
-        spec = bernoulli_voxel_spec(rng, args.dim)
-        f = tuple(_voxel_f_counts(spec))
+        cells = _draw(rng, args.dim)
+        f = tuple(_f_counts(args.dim, cells))
         verdict = evaluate(args.target, f)
         if verdict is None:
             continue
@@ -328,7 +333,7 @@ def cmd_mine(args) -> int:
                     "trial": trial,
                     "target": args.target,
                     "dim": args.dim,
-                    "corners": [list(c) for c in spec.corners],
+                    "corners": [list(c) for c in _corners(args.dim, cells)],
                     "f": list(f),
                     "vector": [str(x) for x in vec],
                     "subdivided_vector": [str(x) for x in out],

@@ -27,6 +27,12 @@ class VoxelSpec(_Record):
     def __init__(self, ambient_dim: int, corners: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "corners", corners)
+        # exact ints in tuples (not bool, float or list) keep the spec hashable
+        if type(corners) is not tuple or not all(type(c) is tuple for c in corners):
+            raise ValueError("voxel spec corners must be a tuple of tuples")
+        for x in (ambient_dim, *(x for c in corners for x in c)):
+            if type(x) is not int:
+                raise ValueError(f"voxel spec needs int dimension and coordinates, got {x!r}")
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be >= 1")
         if not corners:
@@ -508,43 +514,6 @@ def _cube_faces(ambient: int, corners: Iterable[tuple[int, ...]]) -> tuple[list,
     return dims, covered, keys
 
 
-def _voxel_f_counts(spec: VoxelSpec) -> list[int]:
-    """f-vector of from_voxels(spec), counted without building a poset.
-
-    A face with free-axis mask m and minimal corner w lies in the cube at
-    c when w agrees with c on the free axes and w_i is c_i or c_i + 1 on
-    each fixed axis i. So the corners of the faces with mask m are the
-    cube corners spread by +1 along every fixed axis. Corners are bits of
-    one int over the vertex lattice of the translated spec; an axis whose
-    cube corners span 0..s gets radix s + 2, so vertex coordinate s + 1
-    still fits and a shift never carries into the next axis. The int has
-    the product of the radices as bits, so this suits dense specs such
-    as mine's side-4 grid (5^D bits), not a few cubes far apart.
-    """
-    D = spec.ambient_dim
-    axes = list(zip(*spec.corners))
-    strides = [1]  # strides[i] is axis i's place value; the last is the bit count
-    for axis in axes:
-        strides.append(strides[-1] * (max(axis) - min(axis) + 2))
-    origin = sum(min(axis) * s for axis, s in zip(axes, strides))
-    # one digit per bit, highest first, which int() parses in linear time
-    bitmap = bytearray(b"0") * strides[-1]
-    for c in spec.corners:
-        bitmap[origin - 1 - sum(map(operator.mul, c, strides))] = ord("1")
-    f = [0] * (D + 1)
-
-    # Fixing an axis spreads the face corners by +1 along it. Each set of
-    # fixed axes extends the one without its lowest axis, depth first, so
-    # only the sets on the current path, at most D + 1, are alive.
-    def walk(corners: int, below: int, free: int) -> None:
-        f[free] += corners.bit_count()
-        for axis in range(below):
-            walk(corners | corners << strides[axis], axis, free - 1)
-
-    walk(int(bitmap, 2), D, D)
-    return f
-
-
 def gen_cube(d: int) -> CubicalComplex:
     """The complex of all faces of the standard d-cube, top cell included."""
     if type(d) is not int or d < 0:
@@ -567,9 +536,5 @@ def from_voxels(spec: VoxelSpec) -> CubicalComplex:
     Faces are keyed by (free coordinate set, minimal corner), so cubes
     sharing a face deduplicate automatically, and axis-aligned unit-cube
     geometry makes the intersection property hold by construction.
-    The dimension and every coordinate must be exactly int (not bool).
     """
-    for x in (spec.ambient_dim, *(x for c in spec.corners for x in c)):
-        if type(x) is not int:
-            raise ValueError(f"voxel spec needs int dimension and coordinates, got {x!r}")
     return CubicalComplex._from_table(*_cube_faces(spec.ambient_dim, spec.corners))

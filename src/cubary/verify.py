@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._base import SUITES
+from ._base import DEFAULT_FACE_BUDGET, SUITES
 from .complex_core import CubicalComplex
 from .face_vectors import (
     _hc_mismatch,
@@ -23,7 +23,7 @@ from .polytools import (
     real_root_count,
     shape_predicates,
 )
-from .subdivision import subdivide
+from .subdivision import subdivide_n
 from .transform import (
     b_matrix,
     c_matrix,
@@ -47,7 +47,8 @@ class _Item:
 
     @cached_property
     def sd(self) -> CubicalComplex:
-        return subdivide(self.K)
+        # a stdin complex may be large: raises FaceBudgetExceeded up front
+        return subdivide_n(self.K, 1, DEFAULT_FACE_BUDGET)
 
 
 def _suite_fvec(it: _Item):

@@ -28,6 +28,7 @@ from cubary import (
     gen_cube_boundary,
     subdivide,
 )
+from cubary import complex_core
 from cubary import corpus as corpus_mod
 from conftest import random_voxel_complexes
 from builder_oracle import (
@@ -42,10 +43,11 @@ from builder_oracle import (
 
 @pytest.fixture()
 def oracle_corpus(monkeypatch):
-    """The default corpus, built by the string-keyed builders."""
-    monkeypatch.setattr(corpus_mod, "gen_cube", gen_cube_oracle)
-    monkeypatch.setattr(corpus_mod, "gen_cube_boundary", gen_cube_boundary_oracle)
-    monkeypatch.setattr(corpus_mod, "from_voxels", from_voxels_oracle)
+    """The default corpus, built by the string-keyed builders (corpus
+    imports them from complex_core when it runs)."""
+    monkeypatch.setattr(complex_core, "gen_cube", gen_cube_oracle)
+    monkeypatch.setattr(complex_core, "gen_cube_boundary", gen_cube_boundary_oracle)
+    monkeypatch.setattr(complex_core, "from_voxels", from_voxels_oracle)
     return corpus_mod.default_corpus()
 
 

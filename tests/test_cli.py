@@ -18,6 +18,7 @@ from cubary import (
     LongHVector,
     RatPoly,
     ShortHVector,
+    VoxelSpec,
     b_matrix,
     c_matrix,
     euler_reduced,
@@ -40,10 +41,10 @@ import cubary
 from cubary import cli as cli_mod
 from cubary import face_vectors
 from cubary.cli import build_parser, main
-from cubary.complex_core import _voxel_f_counts
-from cubary.corpus import bernoulli_voxel_spec
+from cubary.corpus import _corners
 from cubary.verify import SUITES, run_suites
 from exact_oracle import apply_oracle
+from voxel_oracle import bernoulli_voxel_spec_oracle, voxel_f_counts_oracle
 
 
 @pytest.fixture()
@@ -441,12 +442,13 @@ class TestLimit:
 
 def mine_reference(target: str, dim: int, trials: int, seed: int) -> str:
     """mine's stdout from the loop it ran before verdicts were cached: every
-    draw evaluated afresh, the B or C matrix applied by the Fraction oracle."""
+    draw evaluated afresh, the B or C matrix applied by the Fraction oracle,
+    each grid drawn and counted by the voxel oracles."""
     rng = random.Random(seed)
     lines, findings = [], 0
     for trial in range(trials):
-        spec = bernoulli_voxel_spec(rng, dim)
-        f = FVector(_voxel_f_counts(spec))
+        spec = bernoulli_voxel_spec_oracle(rng, dim)
+        f = FVector(voxel_f_counts_oracle(spec))
         hsc = hsc_from_f(f)
         if target == "unimodality":
             vec = hsc.entries
@@ -535,7 +537,8 @@ class TestMine:
         argv = ["mine", "--target", "realroot", "--dim", "2", "--trials", "1000", "--seed", "7"]
         assert cli(argv)[0] == 0
         rng = random.Random(7)
-        distinct = {tuple(_voxel_f_counts(bernoulli_voxel_spec(rng, 2))) for _ in range(1000)}
+        distinct = {tuple(voxel_f_counts_oracle(bernoulli_voxel_spec_oracle(rng, 2)))
+                    for _ in range(1000)}
         assert len(distinct) < 1000
         assert sorted(evaluated) == sorted(distinct)
 
@@ -579,9 +582,11 @@ class TestMine:
         code, out, _ = cli(argv)
         assert code == 0
         assert len(out.splitlines()) == findings + 1
-        monkeypatch.setattr(
-            "cubary.complex_core._voxel_f_counts", lambda spec: f_vector(from_voxels(spec)).entries
-        )
+        # the same stdout when each draw is built as a complex over its corners
+        def poset_count(dim, cells):
+            return f_vector(from_voxels(VoxelSpec(dim, tuple(_corners(dim, cells))))).entries
+
+        monkeypatch.setattr("cubary.corpus._f_counts", poset_count)
         assert cli(argv) == (0, out, "")
 
     def test_dim_6_builds_no_poset(self, cli):
@@ -680,8 +685,9 @@ class TestStartup:
               "fractions", "decimal"]),
             (["limit", "--max-n", "3"], gen_cube_boundary(3).to_json(),
              _layers("subdivision", "verify", "corpus")),
-            (["mine", "--target", "realroot", "--dim", "2", "--trials", "20", "--seed", "4"], "",
-             _layers("subdivision", "verify")),
+            # trials 159 and 469 are findings, whose lines list the draw's corners
+            (["mine", "--target", "realroot", "--dim", "2", "--trials", "500", "--seed", "4"], "",
+             _layers("complex_core", "subdivision", "verify")),
         ],
         ids=["import", "import-cli", "gen", "coeffs", "vectors", "subdivide", "limit", "mine"],
     )
@@ -844,6 +850,9 @@ FAILURES = [
      "invalid complex: face 0 has negative dimension -1"),
     ("invalid-verify", ["verify", "--suite", "fvec"], BAD_COMPLEX, None, 2,
      f"invalid complex: {BAD_VIOLATIONS}"),
+    ("budget-verify", ["verify", "--suite", "fvec"], SQUARE,
+     ("cubary.verify.DEFAULT_FACE_BUDGET", 24), 3,
+     "subdivision step 1 projects 25 faces (f = [9, 12, 4]), exceeding the budget of 24"),
     ("invalid-limit", ["limit", "--max-n", "1"], BAD_COMPLEX, None, 2,
      f"invalid complex: {BAD_VIOLATIONS}"),
     ("gen-validation", ["gen", "--cube", "2"], "",

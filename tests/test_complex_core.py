@@ -80,15 +80,16 @@ class TestGenerators:
     @pytest.mark.parametrize(
         "spec, bad",
         [
-            (VoxelSpec(2, ((0, 0.5),)), "0.5"),
-            (VoxelSpec(2, ((True, 0),)), "True"),
-            (VoxelSpec(1.0, ((0,),)), "1.0"),
-            (VoxelSpec(True, ((0,),)), "True"),
+            ((2, ((0, 0.5),)), "0.5"),
+            ((2, ((True, 0),)), "True"),
+            ((1.0, ((0,),)), "1.0"),
+            ((True, ((0,),)), "True"),
         ],
     )
     def test_non_int_spec_rejected(self, spec, bad):
+        # refused when the spec is built, before from_voxels sees it
         with pytest.raises(ValueError) as exc:
-            from_voxels(spec)
+            VoxelSpec(*spec)
         assert str(exc.value) == f"voxel spec needs int dimension and coordinates, got {bad}"
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -112,6 +113,15 @@ class TestVoxelSpec:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             VoxelSpec(2, ((0, 0, 0),))
+
+    @pytest.mark.parametrize("corners", [[(0,)], ((0,), [1]), range(1)])
+    def test_non_tuple_corners_rejected(self, corners):
+        with pytest.raises(ValueError, match="^voxel spec corners must be a tuple of tuples$"):
+            VoxelSpec(1, corners)
+
+    def test_hashable(self):
+        spec = VoxelSpec(2, ((0, 0), (1, 0)))
+        assert hash(spec) == hash(VoxelSpec(2, ((0, 0), (1, 0))))
 
     def test_zero_ambient_dim_rejected(self):
         with pytest.raises(ValueError, match="ambient_dim must be >= 1"):
