@@ -143,11 +143,10 @@ def cmd_subdivide(args) -> int:
 
     if args.budget < 0:
         raise _Failure(EXIT_INPUT, "budget must be >= 0")
-    K = _complex_from_stdin()
     if args.n < 0:
         raise _Failure(EXIT_INPUT, "n must be >= 0")
     try:
-        K = subdivide_n(K, args.n, face_budget=args.budget)
+        K = subdivide_n(_complex_from_stdin(), args.n, face_budget=args.budget)
     except FaceBudgetExceeded as exc:
         raise _Failure(EXIT_BUDGET, str(exc)) from exc
     print(K.to_json())

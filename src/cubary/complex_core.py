@@ -110,8 +110,7 @@ class CubicalComplex(_Frozen):
         of (dim, key) order are sorted and covers renumbered to match.
         Every builder of a complex ends here.
         """
-        # zip reuses its result tuple, so the check builds no tuple per face
-        if not any(map(operator.gt, zip(dims, keys), itertools.islice(zip(dims, keys), 1, None))):
+        if _in_order(dims, keys):
             return cls(dims, covered, keys)
         order, new_id = _canonical_order(dims, keys)
         return cls(
@@ -304,6 +303,12 @@ class CubicalComplex(_Frozen):
         return f"<CubicalComplex dim={self.dim} faces={len(self.dims)}>"
 
 
+def _in_order(dims, keys) -> bool:
+    """True iff the rows are in (dim, key) order: each neighbouring pair is.
+    zip reuses its result tuple, so this builds no tuple per face."""
+    return not any(map(operator.gt, zip(dims, keys), itertools.islice(zip(dims, keys), 1, None)))
+
+
 def _canonical_order(dims, keys) -> tuple[list[int], list[int]]:
     """(order, new_id): the rows sorted by (dim, key), and each row's place there."""
     # two stable sorts, so no (dim, key) tuple is built per face
@@ -374,8 +379,7 @@ def validate(K: CubicalComplex) -> ValidationReport:
     """
     v: list[str] = []
     dims, covered, keys = K.dims, K._cov, K.keys
-    # sorted iff each neighbouring pair is
-    if any(map(operator.gt, zip(dims, keys), itertools.islice(zip(dims, keys), 1, None))):
+    if not _in_order(dims, keys):
         v.append("faces are not in canonical (dim, key) order")
     graded, miscounted = True, []
     for i, (d, cov) in enumerate(zip(dims, covered)):

@@ -3,9 +3,10 @@ real root counting and isolation, and vector shape predicates.
 
 Everything here is exact: coefficients are Python ints or
 ``fractions.Fraction`` and no floating point is used anywhere. One
-primitive integer Sturm sequence serves root counting, the gcd and
-square-free part, and rational root isolation. One linear-factor step,
-``_times`` or ``_divided``, expands the substitution's linear powers.
+primitive integer Sturm sequence serves root counting and, divided
+exactly by its last member, rational root isolation. One linear-factor
+step, ``_times`` or ``_divided``, expands the substitution's linear
+powers.
 """
 
 from __future__ import annotations
@@ -204,22 +205,16 @@ def _divided(p: Sequence[Scalar], a: Scalar) -> list:
     return q[:0:-1]
 
 
-def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Monic gcd (a nonzero constant is returned as 1, gcd(0, 0) as 0)."""
-    a, b = _primitive(p.coeffs), _primitive(q.coeffs)
-    while b:
-        a, b = b, _primitive(_remainder(a, b))
-    return RatPoly(Fraction(c, a[-1]) for c in a)
-
-
-def square_free_part(p: RatPoly) -> RatPoly:
-    """p divided by gcd(p, p'); has the same roots, all simple."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no square-free part")
-    if p.degree == 0:
-        return RatPoly((1,))
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g)
+def _quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b over ints; ValueError on a remainder or a non-integer quotient."""
+    r, q = list(a), []
+    for k in range(len(a) - len(b), -1, -1):
+        q.append(r[k + len(b) - 1] // b[-1])
+        for j, bj in enumerate(b, k):
+            r[j] -= q[-1] * bj
+    if any(r):
+        raise ValueError("inexact polynomial division over the ints")
+    return q[::-1]
 
 
 def _remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -285,25 +280,27 @@ def is_real_rooted(p: RatPoly) -> bool:
 def rational_roots(p: RatPoly) -> list[Fraction]:
     """All distinct rational roots of p, ascending.
 
-    Zero is split off first. The rest is made a primitive integer
-    polynomial q (denominators cleared, content divided out) and reduced
-    to its square-free part, so a rational root u/v in lowest terms has
-    v dividing the leading coefficient L of q, and two such roots lie at
-    least 1/L^2 apart. The real roots of q are isolated by Sturm
-    variation counts from a power of two above the Cauchy bound, and
-    each isolating interval is bisected to a width under 1/(2 L^2). The
-    only candidate in it is then the fraction with denominator at most L
-    nearest its midpoint, and it is kept only when exact evaluation
-    gives 0. Every step is integer arithmetic on dyadic points, so the
-    time is polynomial in the degree and the coefficient bit size.
+    Zero is split off first. The rest gets its primitive integer Sturm
+    sequence, and each member is divided exactly by the last, the gcd of
+    the rest and its derivative. That divided sequence is a Sturm
+    sequence of its first member q, the square-free part, so a rational
+    root u/v in lowest terms has v dividing the leading coefficient L of
+    q, and two such roots lie at least 1/L^2 apart. The real roots of q
+    are isolated by its variation counts from a power of two above the
+    Cauchy bound, and each isolating interval is bisected to a width
+    under 1/(2 L^2). The only candidate in it is then the fraction with
+    denominator at most L nearest its midpoint, and it is kept only when
+    exact evaluation gives 0. Every step is integer arithmetic on dyadic
+    points, so the time is polynomial in the degree and the coefficient
+    bit size.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     low = next(i for i, c in enumerate(p.coeffs) if c != 0)
     roots = [Fraction(0)] if low else []
     if p.degree > low:
-        sf = square_free_part(RatPoly(_primitive(p.coeffs[low:])))
-        roots += _nonzero_rational_roots(sf)
+        chain = _chain(RatPoly(p.coeffs[low:]))
+        roots += _nonzero_rational_roots([_quotient(f, chain[-1]) for f in chain])
     return sorted(roots)
 
 
@@ -329,9 +326,9 @@ def _homogeneous(f: Sequence[int], a: int, b: int) -> int:
     return acc
 
 
-def _nonzero_rational_roots(sf: RatPoly) -> list[Fraction]:
-    """Rational roots of a square-free sf with sf(0) != 0 (see rational_roots)."""
-    chain = _chain(sf)
+def _nonzero_rational_roots(chain: list[list[int]]) -> list[Fraction]:
+    """Rational roots of a square-free q = chain[0] with q(0) != 0, given a
+    Sturm sequence of q over ints (see rational_roots)."""
     q, lead = chain[0], abs(chain[0][-1])
 
     def variations(a: int, k: int) -> int:

@@ -12,12 +12,13 @@ evaluates both sides with integer Horner, ``_c_alternating_sums`` runs
 the recursion its sums satisfy, ``CoeffMatrix.apply`` multiplies by
 integer-scaled rows with one exact division per entry, ``b_matrix``
 and ``_c_closed_forms`` build integer columns over 2^(d-1) and convert
-each entry once, and ``poly_gcd``, ``square_free_part``,
-``real_root_count`` and ``is_real_rooted`` read one primitive integer
-Sturm sequence, and ``mobius_transform`` sums by homogeneous Horner with
-one linear factor per step; the iterates, ``_limit_rows``,
-``f_of_subdivision`` and ``f_from_hsc`` run that sum on integer
-numerators and form Fractions only in what they return. The oracles
+each entry once, ``real_root_count`` and ``is_real_rooted`` read one
+primitive integer Sturm sequence, ``rational_roots`` divides that
+sequence exactly by its last member, gcd(p, p'), in place of a separate
+gcd and square-free part, and ``mobius_transform`` sums by
+homogeneous Horner with one linear factor per step; the iterates,
+``_limit_rows``, ``f_of_subdivision`` and ``f_from_hsc`` run that sum
+on integer numerators and form Fractions only in what they return. The oracles
 below are the earlier code, unchanged but for their names (the iterates
 substitute with ``mobius_transform_oracle``, so they do not share the
 integer Horner sum); they take time exponential in the coefficient bit

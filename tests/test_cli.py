@@ -818,6 +818,8 @@ FAILURES = [
     ("subdivide-budget", ["subdivide", "-n", "1", "--budget", "-5"], SQUARE, None, 1,
      "budget must be >= 0"),
     ("subdivide-n", ["subdivide", "-n", "-2"], SQUARE, None, 1, "n must be >= 0"),
+    ("subdivide-n-before-stdin", ["subdivide", "-n", "-1"], BAD_COMPLEX, None, 1,
+     "n must be >= 0"),
     ("coeffs-d", ["coeffs", "--matrix", "B", "-d", "0"], "", None, 1, "d must be >= 1"),
     ("limit-max-n", ["limit", "--max-n", "-3"], SQUARE, None, 1, "max-n must be >= 0"),
     ("limit-hc-d", ["limit", "--max-n", "2", "--which", "hc"], POINT, None, 1,

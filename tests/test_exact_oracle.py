@@ -1,11 +1,14 @@
 """The integer root routines and C-matrix cross-check against the seed's.
 
-``rational_roots``, ``is_real_rooted``, ``real_root_count``,
-``square_free_part`` and ``poly_gcd(p, p')`` must return exactly the
-Fraction oracles' results, value and type, on planted polynomials with
-small coefficients (fixed seed and hypothesis), on the (8,8,8) iterates
-for n = 0..18, on iterates of seeded voxel h-vectors and on the short
-h-polynomials of the default corpus before and after one subdivision.
+``rational_roots``, ``is_real_rooted`` and ``real_root_count`` must
+return exactly the Fraction oracles' results, value and type, on planted
+polynomials with small coefficients (fixed seed and hypothesis), on the
+(8,8,8) iterates for n = 0..18, on iterates of seeded voxel h-vectors
+and on the short h-polynomials of the default corpus before and after
+one subdivision. On the same inputs the last member of the integer Sturm
+sequence must be a nonzero rational multiple of the Fraction Euclid's
+gcd(p, p'), and the first member of the sequence divided by it one of
+the oracle's square-free part.
 Both bivariate checks must accept ``c_matrix`` for d = 1..20 and reject,
 with the same message, a single perturbed entry and two swapped columns.
 The alternating sums over B must equal the oracle's, entry and type, for
@@ -69,7 +72,7 @@ from cubary import (
 from cubary import transform
 from cubary.cli import main
 from cubary.corpus import default_corpus
-from cubary.polytools import poly_gcd, square_free_part
+from cubary.polytools import _chain, _quotient
 from conftest import random_voxel_complexes
 from exact_oracle import (
     apply_oracle,
@@ -117,7 +120,6 @@ ROUTINES = [
     (rational_roots, rational_roots_oracle),
     (is_real_rooted, is_real_rooted_oracle),
     (real_root_count, real_root_count_oracle),
-    (square_free_part, square_free_part_oracle),
 ]
 
 
@@ -128,8 +130,16 @@ def _typed(result) -> tuple:
     return result, [type(v) for v in values]
 
 
+def _multiple(ints: list, q: RatPoly) -> bool:
+    """True iff the int coefficients ints are a nonzero rational multiple of q."""
+    return not q.is_zero() and RatPoly(ints) * q.leading() == q * ints[-1]
+
+
 def _agree(p: RatPoly) -> None:
-    assert _typed(poly_gcd(p, p.derivative())) == _typed(poly_gcd_oracle(p, p.derivative())), p
+    if p.degree > 0:
+        chain = _chain(p)
+        assert _multiple(chain[-1], poly_gcd_oracle(p, p.derivative())), p
+        assert _multiple(_quotient(chain[0], chain[-1]), square_free_part_oracle(p)), p
     if p.is_zero():
         for routine, oracle in ROUTINES:
             for fn in (routine, oracle):

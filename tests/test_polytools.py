@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,14 @@ from cubary.polytools import (
     RatPoly,
     is_real_rooted,
     mobius_transform,
-    poly_gcd,
     rational_roots,
     real_root_count,
     shape_predicates,
-    square_free_part,
     _divided,
+    _quotient,
     _times,
 )
+from cubary import polytools
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -191,23 +193,6 @@ class TestSturm:
         with pytest.raises(ValueError):
             is_real_rooted(RatPoly(()))
 
-    def test_square_free_part(self):
-        p = RatPoly((1, 2, 1)) * RatPoly((-1, 1))
-        sf = square_free_part(p)
-        assert sf.degree == 2
-        assert sf(Fraction(-1)) == 0 and sf(Fraction(1)) == 0
-
-    def test_square_free_part_of_a_constant_is_one(self):
-        assert square_free_part(RatPoly((5,))) == RatPoly((1,))
-        assert square_free_part(RatPoly((Fraction(2, 3),))) == RatPoly((1,))
-
-    def test_gcd_of_coprime_is_one(self):
-        assert poly_gcd(RatPoly((1, 1)), RatPoly((2, 1))) == RatPoly((1,))
-
-    def test_gcd_with_zero(self):
-        assert poly_gcd(RatPoly(), RatPoly()) == RatPoly()
-        assert poly_gcd(RatPoly((2, 4)), RatPoly()) == RatPoly((Fraction(1, 2), 1))
-
     @given(
         st.lists(
             st.fractions(min_value=-5, max_value=5, max_denominator=4),
@@ -234,7 +219,93 @@ class TestSturm:
         assert is_real_rooted(p) == (len(quads) == 0)
 
 
+class TestQuotient:
+    def test_exact(self):
+        # (2x^2 - 3)(3x + 1) / (3x + 1)
+        assert _quotient([-3, -9, 2, 6], [1, 3]) == [-3, 0, 2]
+        assert _quotient([4, -6], [-2]) == [-2, 3]
+        assert _quotient([], [1, 1]) == []
+
+    @pytest.mark.parametrize("a,b", [([1, 0, 1], [0, 1]), ([5], [1, 1]), ([2, 1, 1], [1, 1])])
+    def test_nonzero_remainder(self, a, b):
+        with pytest.raises(ValueError):
+            _quotient(a, b)
+
+    @pytest.mark.parametrize("a,b", [([0, 1], [0, 2]), ([3, 3], [2]), ([1, 3, 2], [2, 4])])
+    def test_non_integer_quotient(self, a, b):
+        # 1/2, 3/2 + 3/2 x and (1 + 2x)(1 + x) / 2(1 + 2x) divide exactly over Q only
+        with pytest.raises(ValueError):
+            _quotient(a, b)
+
+
+def planted_roots(randint) -> tuple:
+    """(p, its rational roots, its distinct real root count, real-rooted?).
+
+    p is a nonzero rational constant times linear powers (den x - num)^m,
+    m in 1..3, and quadratics irreducible over Q, with real or complex
+    roots, up to degree 40. Distinct primitive quadratics share no
+    root, and none shares a root with a linear factor.
+    """
+    p = RatPoly((Fraction(randint(1, 9) * (-1) ** randint(0, 1), randint(1, 7)),))
+    roots, real, nonreal = set(), set(), set()
+    for _ in range(randint(1, 30)):
+        if randint(0, 2):
+            m = randint(1, 3)
+            root = Fraction(randint(-12, 12), randint(1, 6))
+            if p.degree + m <= 40:
+                p = p * RatPoly((-root.numerator, root.denominator)) ** m
+                roots.add(root)
+            continue
+        a, b, c = randint(1, 4), randint(-6, 6), randint(-6, 6)
+        disc = b * b - 4 * a * c
+        if p.degree + 2 <= 40 and (disc < 0 or math.isqrt(disc) ** 2 != disc):
+            p = p * RatPoly((c, b, a))
+            g = math.gcd(a, b, c)
+            (real if disc > 0 else nonreal).add((a // g, b // g, c // g))
+    return p, sorted(roots), len(roots) + 2 * len(real), not nonreal
+
+
+def _finds_planted(randint) -> int:
+    """Check the root routines on one planted polynomial; return its degree."""
+    p, roots, count, real_rooted = planted_roots(randint)
+    got = rational_roots(p)
+    assert (got, [type(r) for r in got]) == (roots, [Fraction] * len(roots)), p
+    assert (real_root_count(p), is_real_rooted(p)) == (count, real_rooted), p
+    return p.degree
+
+
+def _calls(monkeypatch, name: str, fn, p: RatPoly) -> int:
+    """How many times fn(p) calls polytools.<name>."""
+    calls = []
+    original = getattr(polytools, name)
+    with monkeypatch.context() as m:
+        m.setattr(polytools, name, lambda *args: calls.append(args) or original(*args))
+        fn(p)
+    return len(calls)
+
+
 class TestRationalRoots:
+    def test_planted_to_degree_40_fixed_seed(self):
+        rng = random.Random(1967)
+        degrees = [_finds_planted(rng.randint) for _ in range(60)]
+        assert degrees.count(40) >= 10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_planted_to_degree_40_hypothesis(self, data):
+        _finds_planted(lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+    def test_one_chain_per_call(self, monkeypatch):
+        for coeffs in ((-6, 11, -6, 1), (0, 0, 1, 2, 1), (4, -12, 9), (1, 1, 1), (0, 1, -3, 2, 4)):
+            assert _calls(monkeypatch, "_chain", rational_roots, RatPoly(coeffs)) == 1, coeffs
+
+    def test_no_remainder_outside_the_chain(self, monkeypatch):
+        # real_root_count is the variation count of p's chain alone
+        for coeffs in ((-6, 11, -6, 1), (1, 2, 1), (4, -12, 9), (1, 1, 1), (-2, 1, -3, 2, 4, 1, 2)):
+            p = RatPoly(coeffs) * RatPoly(coeffs)
+            once = _calls(monkeypatch, "_remainder", real_root_count, p)
+            assert _calls(monkeypatch, "_remainder", rational_roots, p) == once > 0, coeffs
+
     def test_simple(self):
         p = RatPoly((-6, 11, -6, 1))  # (x-1)(x-2)(x-3)
         assert rational_roots(p) == [1, 2, 3]
