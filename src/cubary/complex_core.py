@@ -44,27 +44,35 @@ class VoxelSpec(_Record):
             raise ValueError("duplicate corners in voxel spec")
 
 
+_INT = re.compile("[+-]?[0-9]+")
+
+
 def parse_voxel_text(text: str) -> VoxelSpec:
     """Parse the voxel text format.
 
-    First line ``dim <n>``; every further nonempty line that does not
-    start with ``#`` lists n integers (a minimal corner). Duplicates are
-    rejected.
+    First line ``dim <n>`` with n >= 1; every further nonempty line that
+    does not start with ``#`` lists n integers (a minimal corner). An
+    integer is ASCII ``[+-]?[0-9]+``: no ``_`` separators and no other
+    scripts' digits, which ``int`` would accept. Duplicates are rejected.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("dim "):
         raise ValueError("voxel file must start with 'dim <n>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError("malformed dim line") from exc
+    head = lines[0].split()
+    if len(head) != 2 or not _INT.fullmatch(head[1]):
+        raise ValueError("malformed dim line")
+    n = int(head[1])
+    if n < 1:
+        raise ValueError("ambient_dim must be >= 1")
     corners = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != n:
             raise ValueError(f"corner line {ln!r} does not have {n} entries")
-        corners.append(tuple(int(x) for x in parts))
+        if not all(map(_INT.fullmatch, parts)):
+            raise ValueError(f"corner line {ln!r} has an entry that is not an integer")
+        corners.append(tuple(map(int, parts)))
     return VoxelSpec(ambient_dim=n, corners=tuple(corners))
 
 
@@ -89,6 +97,15 @@ class CubicalComplex(_Frozen):
             raise ValueError("empty complexes are not supported")
         if not (len(dims) == len(cov) == len(keys)):
             raise ValueError("inconsistent face table lengths")
+        # in bulk: a bool dim would print as JSON false, and an id outside
+        # 0..N-1 would be read as another face or raise IndexError
+        flat = [*itertools.chain.from_iterable(cov)]
+        if {*map(type, dims)} != {int}:
+            raise ValueError("face dims must be ints")
+        if not {*map(type, flat)} <= {int} or flat and not 0 <= min(flat) <= max(flat) < len(dims):
+            raise ValueError(f"covered ids must be ints in 0..{len(dims) - 1}")
+        if {*map(type, keys)} != {str}:
+            raise ValueError("face keys must be strings")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_cov", cov)
         object.__setattr__(self, "keys", keys)

@@ -97,6 +97,8 @@ class RatPoly(_Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if type(n) is not int:
+            raise TypeError(f"polynomial exponent must be an int, got {type(n).__name__}")
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = RatPoly((1,))
@@ -137,7 +139,7 @@ class RatPoly(_Record):
         return q
 
     def __call__(self, t: Scalar) -> Scalar:
-        acc: Scalar = 0
+        t, acc = _exact(t), 0
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return _exact(acc) if isinstance(acc, Fraction) else acc

@@ -21,7 +21,7 @@ from math import comb
 
 from ._base import _Record
 from .face_vectors import FVector, LongHVector, ShortHVector, hsc_from_hc
-from .polytools import RatPoly, Scalar, _cleared, _divided, _homogeneous, _mobius, _times
+from .polytools import RatPoly, Scalar, _cleared, _divided, _mobius, _times
 
 
 class CoeffMatrix(_Record):
@@ -109,9 +109,9 @@ def c_matrix(d: int) -> CoeffMatrix:
 
     Built from the per-column closed forms (the j=0 and j=d cases divide
     exactly by 1+x), then required to agree with (a) alternating sums
-    over the B matrix and (b) a grid evaluation of the bivariate
-    generating function, all on integer rows over 2^(d-1). Disagreement
-    means an implementation bug and raises RuntimeError.
+    over the B matrix and (b) the bivariate generating function,
+    coefficient by coefficient, all on integer rows over 2^(d-1).
+    Disagreement means an implementation bug and raises RuntimeError.
     """
     if type(d) is not int or d < 1:
         raise ValueError("d must be an int >= 1")
@@ -152,35 +152,34 @@ def _c_alternating_sums(d: int) -> tuple[int, tuple]:
 
 
 def _check_c_bivariate(d: int, den: int, rows: tuple) -> None:
-    """Compare sum_{i,j} C[i][j] x^i y^j, C = rows / den, with its
-    bivariate generating function on a grid large enough to separate
-    polynomials of the degrees involved (x-degree <= d+2, y-degree <= d+1
-    after clearing the two denominators), at points where neither
-    denominator vanishes.
-
-    Everything is integer arithmetic: rows are evaluated by Horner in y
-    for each grid y and then in x. The generating function is multiplied
-    through by 2^(d+1) (1+x) (x+3 - (3x+1) y), and the two sides are
-    compared cross-multiplied, so the time is polynomial in d.
+    """Compare sum_{i,j} C[i][j] x^i y^j, C = rows / den, with its bivariate
+    generating function coefficient by coefficient. Times 2^(d+1) (1+x) g,
+    g = x+3 - (3x+1) y, that function is
+    g (2^(d+1) + 4x a) + g y^d (4x b + 2^(d+1) x^(d+1)) + 16x (1+x) (a y - b y^d),
+    a = (x+3)^(d-1) and b = (3x+1)^(d-1), a reversed; the difference D of
+    the two sides must vanish. D has x-degree <= d+2 and y-degree <= d+1,
+    so a nonzero D is nonzero somewhere on x = 1..d+3, y = 2..d+3, where
+    neither 1+x nor g is 0; the error names the first such point.
     """
-    # at_y[y][i] = den * sum_j C[i][j] y^j, so den * lhs is a polynomial in x
-    at_y = {y: [_homogeneous(row, y, 1) for row in rows] for y in range(2, d + 4)}
-    for x in range(1, d + 4):
-        xp3, x3p1 = x + 3, 3 * x + 1
-        a, b = xp3 ** (d - 1), x3p1 ** (d - 1)
-        for y in range(2, d + 4):
-            lhs = _homogeneous(at_y[y], x, 1)
-            g = xp3 - x3p1 * y
-            rhs = (
-                2 ** (d + 1) * (1 + x ** (d + 1) * y**d) * g
-                + 16 * x * y * (a - b * y ** (d - 1)) * (1 + x)
-                + 4 * x * (a + b * y**d) * g
-            )
-            if lhs * 2 ** (d + 1) * (1 + x) * g != den * rhs:
-                raise RuntimeError(
-                    f"C({d}) disagrees with its bivariate generating function "
-                    f"at x={x}, y={y}"
-                )
+    s, m, a = 2 ** (d + 1), 16 * den, [comb(d - 1, k) * 3 ** (d - 1 - k) for k in range(d)]
+    # (x power, y power, coefficient) terms of 2^(d+1) (1+x) g, and of -den g
+    lhs = ((0, 0, 3 * s), (1, 0, 4 * s), (2, 0, s), (0, 1, -s), (1, 1, -4 * s), (2, 1, -3 * s))
+    g = ((0, 0, -3 * den), (1, 0, -den), (0, 1, den), (1, 1, 3 * den))
+    # (xs, q, terms): D += sum_i xs[i] x^i y^q times the terms' sum
+    pieces = [(col, j, lhs) for j, col in enumerate(zip(*rows))] + [
+        ([s, *(4 * c for c in a)], 0, g), ([0, *(4 * c for c in a[::-1]), s], d, g),
+        (a, 1, ((1, 0, -m), (2, 0, -m))), (a[::-1], d, ((1, 0, m), (2, 0, m)))]
+    D = {}
+    for xs, q, terms in pieces:
+        for i, c in enumerate(xs):
+            for p, r, e in terms:
+                D[i + p, q + r] = D.get((i + p, q + r), 0) + e * c
+    bad = [(ij, c) for ij, c in D.items() if c]
+    if bad:
+        x, y = next((x, y) for x in range(1, d + 4) for y in range(2, d + 4)
+                    if sum(c * x**i * y**j for (i, j), c in bad))
+        raise RuntimeError(
+            f"C({d}) disagrees with its bivariate generating function at x={x}, y={y}")
 
 
 def f_of_subdivision(f: FVector) -> FVector:

@@ -7,8 +7,10 @@ the iterates and the limit rows, and the double sums behind
 ``f_of_subdivision`` and ``f_from_hsc``, kept as test oracles.
 
 ``cubary.rational_roots`` replaced the divisor search with Sturm
-isolation and bisection over integers, ``_check_c_bivariate`` now
-evaluates both sides with integer Horner, ``_c_alternating_sums`` runs
+isolation and bisection over integers, ``_check_c_bivariate`` first
+evaluated both sides with integer Horner on the same grid and now
+compares the cleared polynomials coefficient by coefficient (the grid
+is kept as a second oracle), ``_c_alternating_sums`` runs
 the recursion its sums satisfy, ``CoeffMatrix.apply`` multiplies by
 integer-scaled rows with one exact division per entry, ``b_matrix``
 and ``_c_closed_forms`` build integer columns over 2^(d-1) and convert
@@ -24,7 +26,8 @@ substitute with ``mobius_transform_oracle``, so they do not share the
 integer Horner sum); they take time exponential in the coefficient bit
 size (roots), rebuild every power as a ``Fraction`` (bivariate check,
 the matrix builders, the substitution and the iterates), take
-O(d^3) additions (alternating sums) or grow Fraction remainders to
+O(d^3) additions (alternating sums) or big-int Horner steps
+(integer grid), or grow Fraction remainders to
 about degree^5 time (Euclid), so tests feed them small inputs only.
 """
 
@@ -34,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from cubary import CoeffMatrix, FVector, RatPoly, ShortHVector, b_matrix, hsc_from_hc
-from cubary.polytools import Scalar, _divided
+from cubary.polytools import Scalar, _divided, _homogeneous
 
 
 def rational_roots_oracle(p: RatPoly) -> list[Fraction]:
@@ -98,6 +101,38 @@ def check_c_bivariate_oracle(d: int, entries: tuple) -> None:
                 * (xp3 ** (d - 1) + x3p1 ** (d - 1) * y**d)
             )
             if lhs != rhs:
+                raise RuntimeError(
+                    f"C({d}) disagrees with its bivariate generating function "
+                    f"at x={x}, y={y}"
+                )
+
+
+def check_c_bivariate_grid_oracle(d: int, den: int, rows: tuple) -> None:
+    """Compare sum_{i,j} C[i][j] x^i y^j, C = rows / den, with its
+    bivariate generating function on a grid large enough to separate
+    polynomials of the degrees involved (x-degree <= d+2, y-degree <= d+1
+    after clearing the two denominators), at points where neither
+    denominator vanishes.
+
+    Everything is integer arithmetic: rows are evaluated by Horner in y
+    for each grid y and then in x. The generating function is multiplied
+    through by 2^(d+1) (1+x) (x+3 - (3x+1) y), and the two sides are
+    compared cross-multiplied, so the time is polynomial in d.
+    """
+    # at_y[y][i] = den * sum_j C[i][j] y^j, so den * lhs is a polynomial in x
+    at_y = {y: [_homogeneous(row, y, 1) for row in rows] for y in range(2, d + 4)}
+    for x in range(1, d + 4):
+        xp3, x3p1 = x + 3, 3 * x + 1
+        a, b = xp3 ** (d - 1), x3p1 ** (d - 1)
+        for y in range(2, d + 4):
+            lhs = _homogeneous(at_y[y], x, 1)
+            g = xp3 - x3p1 * y
+            rhs = (
+                2 ** (d + 1) * (1 + x ** (d + 1) * y**d) * g
+                + 16 * x * y * (a - b * y ** (d - 1)) * (1 + x)
+                + 4 * x * (a + b * y**d) * g
+            )
+            if lhs * 2 ** (d + 1) * (1 + x) * g != den * rhs:
                 raise RuntimeError(
                     f"C({d}) disagrees with its bivariate generating function "
                     f"at x={x}, y={y}"

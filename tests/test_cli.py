@@ -840,6 +840,10 @@ FAILURES = [
      "duplicate corners in voxel spec"),
     ("gen-no-dim-line", ["gen", "--voxels", "{tmp}/nodim.txt"], "", None, 1,
      "voxel file must start with 'dim <n>'"),
+    ("gen-underscore-corner", ["gen", "--voxels", "{tmp}/underscore.txt"], "", None, 1,
+     "corner line '1_0' has an entry that is not an integer"),
+    ("gen-negative-dim", ["gen", "--voxels", "{tmp}/negdim.txt"], "", None, 1,
+     "ambient_dim must be >= 1"),
     ("parse-vectors", ["vectors"], "{oops", None, 1,
      "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("parse-verify", ["verify", "--suite", "fvec"], "", None, 1,
@@ -906,6 +910,8 @@ class TestFailureOutput:
     def voxel_dir(self, tmp_path):
         (tmp_path / "dup.txt").write_text("dim 2\n0 0\n0 0\n")
         (tmp_path / "nodim.txt").write_text("0 0\n")
+        (tmp_path / "underscore.txt").write_text("dim 1\n1_0\n")
+        (tmp_path / "negdim.txt").write_text("dim -1\n0\n")
         (tmp_path / "dim16.txt").write_text("dim 16\n" + "0 " * 16 + "\n")
         return tmp_path
 

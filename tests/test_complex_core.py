@@ -139,6 +139,29 @@ class TestVoxelSpec:
         with pytest.raises(ValueError):
             parse_voxel_text(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim 1\n1_0\n", "corner line '1_0' has an entry that is not an integer"),
+            ("dim 1\n\u0663\n", "corner line '\u0663' has an entry that is not an integer"),
+            ("dim 2\n0 0x1\n", "corner line '0 0x1' has an entry that is not an integer"),
+            ("dim 1\n1.0\n", "corner line '1.0' has an entry that is not an integer"),
+            ("dim 1_0\n0\n", "malformed dim line"),
+            ("dim \u0663\n0 0 0\n", "malformed dim line"),
+            ("dim 2 junk\n0 0\n", "malformed dim line"),
+            ("dim -1\n0\n", "ambient_dim must be >= 1"),
+            ("dim 0\n", "ambient_dim must be >= 1"),
+        ],
+        ids=["underscore", "arabic-indic-digit", "hex", "float", "dim-underscore",
+             "dim-arabic-indic", "dim-junk", "dim-negative", "dim-zero"],
+    )
+    def test_parse_accepts_only_ascii_integers(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_voxel_text(text)
+
+    def test_parse_signed_and_padded_integers(self):
+        assert parse_voxel_text("dim +2\n-1 +0\n007 0\n") == VoxelSpec(2, ((-1, 0), (7, 0)))
+
 
 class TestValidate:
     def test_generators_validate(self, corpus):
@@ -373,8 +396,16 @@ class TestSerialization:
             (([], [], []), "empty complexes are not supported"),
             (([0, 0], [[]], ["a", "b"]), "inconsistent face table lengths"),
             (([0, 0], [[], []], ["a", "a"]), "duplicate canonical keys"),
+            (([False], [[]], ["a"]), "^face dims must be ints$"),
+            (([0.0], [[]], ["a"]), "^face dims must be ints$"),
+            (([0, 1], [[], [-1]], ["a", "b"]), r"^covered ids must be ints in 0\.\.1$"),
+            (([0, 1], [[], [2]], ["a", "b"]), r"^covered ids must be ints in 0\.\.1$"),
+            (([0, 1], [[], [True]], ["a", "b"]), r"^covered ids must be ints in 0\.\.1$"),
+            (([0, 1], [[], [0.0]], ["a", "b"]), r"^covered ids must be ints in 0\.\.1$"),
+            (([0], [[]], [b"a"]), "^face keys must be strings$"),
         ],
-        ids=["empty", "lengths", "duplicate-keys"],
+        ids=["empty", "lengths", "duplicate-keys", "bool-dim", "float-dim", "cover-minus-1",
+             "cover-out-of-range", "bool-cover", "float-cover", "bytes-key"],
     )
     def test_constructor_rejects(self, table, message):
         with pytest.raises(ValueError, match=message):

@@ -9,8 +9,13 @@ one subdivision. On the same inputs the last member of the integer Sturm
 sequence must be a nonzero rational multiple of the Fraction Euclid's
 gcd(p, p'), and the first member of the sequence divided by it one of
 the oracle's square-free part.
-Both bivariate checks must accept ``c_matrix`` for d = 1..20 and reject,
+The package's coefficientwise bivariate check, the integer grid oracle
+and the Fraction oracle must accept ``c_matrix`` for d = 1..20 and reject,
 with the same message, a single perturbed entry and two swapped columns.
+The package check must name the grid oracle's point for fixed-seed
+changes of one to three numerators by +-1 or +-den at d = 1..30, accept
+C(d) for d = 1..60, 100 and 200, and build C(25) without the integer
+Horner evaluator.
 The alternating sums over B must equal the oracle's, entry and type, for
 d = 1..30, and ``c_matrix`` must refuse a B that disagrees with them.
 ``b_matrix`` and ``c_matrix`` must equal the seed's Fraction builders,
@@ -69,7 +74,7 @@ from cubary import (
     real_root_count,
     shape_predicates,
 )
-from cubary import transform
+from cubary import polytools, transform
 from cubary.cli import main
 from cubary.corpus import default_corpus
 from cubary.polytools import _chain, _quotient
@@ -79,6 +84,7 @@ from exact_oracle import (
     b_matrix_oracle,
     c_alternating_sums_oracle,
     c_closed_forms_oracle,
+    check_c_bivariate_grid_oracle,
     check_c_bivariate_oracle,
     f_from_hsc_oracle,
     f_of_subdivision_oracle,
@@ -185,8 +191,13 @@ class TestRationalRoots:
 
 
 def _check_entries(d: int, entries: tuple) -> None:
-    """The integer grid check, on entries cleared to one denominator."""
+    """The package's coefficientwise check, on entries cleared to one denominator."""
     transform._check_c_bivariate(d, *transform.CoeffMatrix("C", d, entries)._scaled)
+
+
+def _grid_entries(d: int, entries: tuple) -> None:
+    """The integer grid oracle, on entries cleared to one denominator."""
+    check_c_bivariate_grid_oracle(d, *transform.CoeffMatrix("C", d, entries)._scaled)
 
 
 def mobius_input(randint) -> tuple:
@@ -235,7 +246,7 @@ class TestMobiusOracle:
             _mobius_agrees((RatPoly((8, 8, 8)), a, b, b, a, 2))
 
 
-CHECKS = [_check_entries, check_c_bivariate_oracle]
+CHECKS = [_check_entries, _grid_entries, check_c_bivariate_oracle]
 
 
 def _perturbed(entries: tuple, d: int) -> tuple:
@@ -254,6 +265,15 @@ def _swapped(entries: tuple, d: int) -> tuple:
     return out
 
 
+def _message(check, *args) -> str | None:
+    """check(*args)'s RuntimeError text, or None if it accepts."""
+    try:
+        check(*args)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
 class TestBivariateCheck:
     @pytest.mark.parametrize("d", range(1, 21))
     def test_both_accept_c_matrix(self, d):
@@ -269,7 +289,39 @@ class TestBivariateCheck:
             with pytest.raises(RuntimeError) as exc:
                 check(d, bad)
             messages.append(str(exc.value))
-        assert messages[0] == messages[1]
+        assert messages[0] == messages[1] == messages[2]
+
+    def test_changed_numerators_name_the_grid_point(self):
+        # D(x, y) at a grid point is exactly what the grid compares there,
+        # so the first nonzero point is the one the grid scan stops at
+        rng = random.Random(25)
+        for d in range(1, 31):
+            den, rows = transform._c_closed_forms(d)
+            for _ in range(4):
+                bad = [list(row) for row in rows]
+                cells = [(i, j) for i in range(d + 1) for j in range(d + 1)]
+                for i, j in rng.sample(cells, min(len(cells), rng.randint(1, 3))):
+                    bad[i][j] += rng.choice((1, -1, den, -den))
+                bad = tuple(map(tuple, bad))
+                want = _message(check_c_bivariate_grid_oracle, d, den, bad)
+                assert want is not None
+                assert _message(transform._check_c_bivariate, d, den, bad) == want
+
+    @pytest.mark.parametrize("d", [*range(1, 61), 100, 200])
+    def test_package_check_accepts(self, d):
+        transform._check_c_bivariate(d, *transform._c_closed_forms(d))
+
+    def test_c_matrix_needs_no_horner(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("C(d) evaluated a polynomial by Horner")
+
+        assert not hasattr(transform, "_homogeneous")
+        monkeypatch.setattr(polytools, "_homogeneous", refuse)
+        transform.c_matrix.cache_clear()
+        try:
+            assert c_matrix(25).entries == c_closed_forms_oracle(25)
+        finally:
+            transform.c_matrix.cache_clear()
 
     def test_perturbed_matrix_exits_4(self, monkeypatch, capsys):
         d = 7

@@ -50,6 +50,25 @@ class TestRatPoly:
         p = RatPoly((Fraction(1, 2), 0, 1))
         assert p(Fraction(1, 2)) == Fraction(3, 4)
         assert p(2) == Fraction(9, 2)
+        assert type(RatPoly((1, 1))(Fraction(2, 1))) is int
+
+    @pytest.mark.parametrize("t", [0.5, True, False, 1j, "1", None])
+    def test_eval_rejects_inexact_points(self, t):
+        for p in (RatPoly((1, 1)), RatPoly()):
+            with pytest.raises(TypeError, match="expected int or Fraction"):
+                p(t)
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, Fraction(2), "2", None])
+    def test_power_needs_an_int_exponent(self, n):
+        with pytest.raises(TypeError, match="^polynomial exponent must be an int, got "):
+            RatPoly((1, 1)) ** n
+
+    def test_power_edge_cases(self):
+        p = RatPoly((1, 1))
+        assert p**0 == RatPoly((1,))
+        assert p**1 == p
+        with pytest.raises(ValueError, match="negative power"):
+            p**-1
 
     def test_divmod_roundtrip(self):
         p = RatPoly((2, 5, 4, 1))
