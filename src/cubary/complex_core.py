@@ -12,7 +12,7 @@ import itertools
 import json
 import operator
 import re
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ._base import _Frozen, _Record
 
@@ -55,7 +55,7 @@ def parse_voxel_text(text: str) -> VoxelSpec:
     integer is ASCII ``[+-]?[0-9]+``: no ``_`` separators and no other
     scripts' digits, which ``int`` would accept. Duplicates are rejected.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in str.splitlines(text)]  # TypeError unless text is a str
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("dim "):
         raise ValueError("voxel file must start with 'dim <n>'")
@@ -91,14 +91,13 @@ class CubicalComplex(_Frozen):
 
     def __init__(self, dims, covered, keys):
         dims = tuple(dims)
-        cov = tuple(map(tuple, map(sorted, map(set, covered))))
+        cov = tuple(map(tuple, covered))
         keys = tuple(keys)
         if not dims:
             raise ValueError("empty complexes are not supported")
         if not (len(dims) == len(cov) == len(keys)):
             raise ValueError("inconsistent face table lengths")
-        # in bulk: a bool dim would print as JSON false, and an id outside
-        # 0..N-1 would be read as another face or raise IndexError
+        # in bulk and before any sort: a bool dim prints as false, a stray id reads as a face
         flat = [*itertools.chain.from_iterable(cov)]
         if {*map(type, dims)} != {int}:
             raise ValueError("face dims must be ints")
@@ -107,7 +106,7 @@ class CubicalComplex(_Frozen):
         if {*map(type, keys)} != {str}:
             raise ValueError("face keys must be strings")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_cov", cov)
+        object.__setattr__(self, "_cov", tuple(map(tuple, map(sorted, map(set, cov)))))
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "_covered", None)
         if len(set(keys)) != len(keys):
@@ -124,8 +123,8 @@ class CubicalComplex(_Frozen):
         """Build from a face table in any order, canonicalizing ids.
 
         Row i is face i: its dim, the rows it covers, and its key. Rows out
-        of (dim, key) order are sorted and covers renumbered to match.
-        Every builder of a complex ends here.
+        of (dim, key) order are sorted and covers renumbered to match, so
+        covers must be ids in 0..N-1: the constructor sees them renumbered.
         """
         if _in_order(dims, keys):
             return cls(dims, covered, keys)
@@ -135,20 +134,6 @@ class CubicalComplex(_Frozen):
             [map(new_id.__getitem__, covered[i]) for i in order],
             [keys[i] for i in order],
         )
-
-    @classmethod
-    def from_keyed_faces(
-        cls, faces: Mapping[str, tuple[int, Iterable[str]]]
-    ) -> "CubicalComplex":
-        """Build from a key -> (dim, covered keys) table, canonicalizing ids."""
-        ids = {k: i for i, k in enumerate(faces)}
-        covered = []
-        for k, (_, cov) in faces.items():
-            try:
-                covered.append([ids[c] for c in cov])
-            except KeyError as exc:
-                raise ValueError(f"face {k!r} covers unknown face {exc.args[0]!r}")
-        return cls._from_table([dim for dim, _ in faces.values()], covered, list(faces))
 
     def __len__(self):
         return len(self.dims)
@@ -248,21 +233,22 @@ class CubicalComplex(_Frozen):
         """
         try:
             declared = obj["dim"]
-            rows = list(map(operator.itemgetter("id", "dim", "covered", "key"), obj["faces"]))
+            columns = [*zip(*map(operator.itemgetter("id", "dim", "covered", "key"), obj["faces"]))]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed complex JSON: {exc}") from exc
         if type(declared) is not int:
             raise ValueError(f"malformed complex JSON: dim must be an integer, got {declared!r}")
-        if not rows:
+        if not columns:
             raise ValueError("empty complexes are not supported")
-        ids, dims, covered, keys = zip(*rows)
-        del rows  # fewer live containers for the collector to walk while the complex is built
+        ids, dims, covered, keys = columns
         n = len(ids)
-        # the checks in bulk; the row loop below names the first fault
-        flat = [*itertools.chain.from_iterable(c for c in covered if type(c) is list)]
-        types = [set(map(type, col)) for col in (itertools.chain(ids, dims, flat), covered, keys)]
-        if (types != [{int}, {list}, {str}] or min(flat, default=0) < 0 or max(flat, default=0) >= n
-                or ids != tuple(range(n)) or len(set(keys)) < n):
+        K = None  # JSON's own checks (by type too: (0, True) == (0, 1)), then the constructor's
+        if {*map(type, ids)} == {int} and ids == tuple(range(n)) and {*map(type, covered)} == {list}:
+            try:
+                K = cls(dims, covered, keys)
+            except ValueError:
+                pass
+        if K is None:  # name the first fault in list order, or put the rows in id order
             stray = None  # row of the first face covering an unknown id
             for r, (fid, dim, cov, key) in enumerate(zip(ids, dims, covered, keys)):
                 if type(fid) is not int or type(dim) is not int:
@@ -296,11 +282,13 @@ class CubicalComplex(_Frozen):
                 c = next(c for c in covered[stray] if not 0 <= c < n)
                 raise ValueError(f"face {ids[stray]} covers unknown id {c}")
             dims, covered, keys = ([col[r] for r in row] for col in (dims, covered, keys))
-        K = cls._from_table(dims, covered, keys)
+            K = cls(dims, covered, keys)
+        if not _in_order(K.dims, K.keys):  # renumbered only once its ids are checked
+            K = cls._from_table(K.dims, K._cov, K.keys)
         if K.dim != declared:
             raise ValueError(f"declared dim {declared} != max face dim {K.dim}")
         # the complex keeps each cover once, so a repeat shortens the total
-        if len(flat) != sum(map(len, K._cov)):
+        if sum(map(len, covered)) != sum(map(len, K._cov)):
             fid, cov = next(row for row in enumerate(covered) if len(set(row[1])) < len(row[1]))
             repeated = next(c for c in cov if cov.count(c) > 1)
             raise ValueError(f"face {fid} covers id {repeated} more than once")
@@ -394,6 +382,8 @@ def validate(K: CubicalComplex) -> ValidationReport:
     subcube of a checked one, so each j-face also has the cube's
     2^(j-k)*C(j,k) subfaces of dimension k.
     """
+    if not isinstance(K, CubicalComplex):
+        raise TypeError(f"validate needs a CubicalComplex, got {type(K).__name__}")
     v: list[str] = []
     dims, covered, keys = K.dims, K._cov, K.keys
     if not _in_order(dims, keys):

@@ -80,7 +80,11 @@ class LongHVector(_Vector):
 
 
 def f_vector(K: CubicalComplex) -> FVector:
-    """Exact face counts of K by dimension."""
+    """Exact face counts of K by dimension.
+
+    Assumes K is a valid complex (see validate(), which the CLI runs on
+    every complex it reads).
+    """
     counts = [0] * (K.dim + 1)
     for d in K.dims:
         counts[d] += 1
@@ -182,7 +186,10 @@ def check_long_short_identity(f: FVector) -> bool:
 
 
 def summary(K: CubicalComplex) -> dict:
-    """JSON-ready vector summary: d, f, hsc, hc, reduced Euler characteristic."""
+    """JSON-ready vector summary: d, f, hsc, hc, reduced Euler characteristic.
+
+    Assumes K is a valid complex; the CLI validates it first.
+    """
     f = f_vector(K)
     hsc = hsc_from_f(f)
     hc = hc_from_hsc(hsc)

@@ -83,6 +83,7 @@ class RatPoly(_Record):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _exact(other)  # a bool is refused, as in +
             return RatPoly(c * other for c in self.coeffs)
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -361,7 +362,9 @@ def _nonzero_rational_roots(chain: list[list[int]]) -> list[Fraction]:
 
 
 def shape_predicates(v: Sequence[Scalar]) -> dict:
-    """Nonnegativity, symmetry (palindrome), and unimodality of a vector."""
+    """Nonnegativity, symmetry (palindrome), and unimodality of a vector
+    of ints or Fractions; a float or bool entry raises TypeError."""
+    v = [*map(_exact, v)]
     n = len(v)
     nonnegative = all(x >= 0 for x in v)
     symmetric = all(v[i] == v[n - 1 - i] for i in range(n))

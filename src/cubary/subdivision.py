@@ -58,6 +58,7 @@ def subdivide(K: CubicalComplex) -> CubicalComplex:
     [F, G'] for each G' covered by G with F <= G'. Intervals are keyed by
     the pair of the constituent keys and sorted first, so each cover is
     written once, in final ids, through one dict per face g, ids[g][f].
+    Assumes K is a valid complex; the CLI validates it first.
     """
     lower = K.all_lower_sets()
     dims, keys = [], []

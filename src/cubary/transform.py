@@ -16,7 +16,7 @@ import operator
 import warnings
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 
 from ._base import _Record
@@ -36,6 +36,17 @@ class CoeffMatrix(_Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", entries)
+        if type(kind) is not str or type(d) is not int:
+            raise TypeError(f"CoeffMatrix needs a str kind and an int d, got {kind!r} and {d!r}")
+        if kind not in ("B", "C") or d < 1:
+            raise ValueError(f"CoeffMatrix needs kind 'B' or 'C' and d >= 1, got {kind!r} and {d}")
+        if type(entries) is not tuple or {*map(type, entries)} - {tuple}:
+            raise TypeError("CoeffMatrix entries must be a tuple of tuples")
+        size = d + (kind == "C")  # B(d) is d x d, C(d) is (d+1) x (d+1)
+        if len(entries) != size or {*map(len, entries)} != {size}:
+            raise ValueError(f"{kind}({d}) entries must be {size} x {size}")
+        if {*map(type, chain.from_iterable(entries))} - {int, Fraction}:
+            raise TypeError("CoeffMatrix entries must be ints or Fractions")
 
     @property
     def size(self) -> int:

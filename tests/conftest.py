@@ -16,6 +16,7 @@ import pytest
 
 from cubary import CubicalComplex, FVector, VoxelSpec, from_voxels
 from cubary.corpus import bernoulli_voxel_spec, default_corpus
+from builder_oracle import from_keyed_faces_oracle
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +32,7 @@ def non_cube_square():
     square's cover count and lower-set profile, but the lower set is not
     a square's face lattice (bc shares a vertex with every other edge).
     """
-    return CubicalComplex.from_keyed_faces(
+    return from_keyed_faces_oracle(
         {
             "a": (0, []), "b": (0, []), "c": (0, []), "d": (0, []),
             "ab": (1, ["a", "b"]), "bc": (1, ["b", "c"]),

@@ -21,6 +21,7 @@ from cubary import (
     subdivide,
     validate,
 )
+from builder_oracle import from_keyed_faces_oracle
 
 
 class TestGenerators:
@@ -162,15 +163,25 @@ class TestVoxelSpec:
     def test_parse_signed_and_padded_integers(self):
         assert parse_voxel_text("dim +2\n-1 +0\n007 0\n") == VoxelSpec(2, ((-1, 0), (7, 0)))
 
+    @pytest.mark.parametrize("text", [5, b"dim 1\n0\n", None])
+    def test_parse_needs_a_str(self, text):
+        with pytest.raises(TypeError, match=r"^[^\n]*'str'[^\n]*$"):
+            parse_voxel_text(text)
+
 
 class TestValidate:
+    @pytest.mark.parametrize("K", ["x", None, {"dim": 0, "faces": []}], ids=["str", "none", "json"])
+    def test_needs_a_complex(self, K):
+        with pytest.raises(TypeError, match="^validate needs a CubicalComplex, got "):
+            validate(K)
+
     def test_generators_validate(self, corpus):
         for name, K in corpus:
             report = validate(K)
             assert report.ok, (name, report.violations)
 
     def test_edge_covering_three_vertices(self):
-        K = CubicalComplex.from_keyed_faces(
+        K = from_keyed_faces_oracle(
             {
                 "v1": (0, []),
                 "v2": (0, []),
@@ -191,12 +202,12 @@ class TestValidate:
             "s1": (2, ["a", "b", "L1", "R1"]),
             "s2": (2, ["a", "b", "L2", "R2"]),
         }
-        report = validate(CubicalComplex.from_keyed_faces(faces))
+        report = validate(from_keyed_faces_oracle(faces))
         assert not report.ok
         assert any("maximal common" in v for v in report.violations)
 
     def test_broken_grading_reported(self):
-        K = CubicalComplex.from_keyed_faces(
+        K = from_keyed_faces_oracle(
             {"v": (0, []), "s": (2, ["v"])}
         )
         report = validate(K)
@@ -311,7 +322,7 @@ class TestSerialization:
         """
         faces = {k: (0, []) for k in keys}
         faces[max(keys) + "!"] = (1, keys[:2])
-        K = CubicalComplex.from_keyed_faces(faces)
+        K = from_keyed_faces_oracle(faces)
         paired = [i for i, k in enumerate(K.keys) if TestSerialization.PAIRED_SURROGATES.search(k)]
         if paired:
             for encode in (K.to_json, K.to_json_obj):
@@ -402,18 +413,18 @@ class TestSerialization:
             (([0, 1], [[], [2]], ["a", "b"]), r"^covered ids must be ints in 0\.\.1$"),
             (([0, 1], [[], [True]], ["a", "b"]), r"^covered ids must be ints in 0\.\.1$"),
             (([0, 1], [[], [0.0]], ["a", "b"]), r"^covered ids must be ints in 0\.\.1$"),
+            # checked before the covers are sorted, which would raise TypeError
+            (([0], [["a", 1]], ["k"]), r"^covered ids must be ints in 0\.\.0$"),
+            (([0], [[[1]]], ["k"]), r"^covered ids must be ints in 0\.\.0$"),
             (([0], [[]], [b"a"]), "^face keys must be strings$"),
         ],
         ids=["empty", "lengths", "duplicate-keys", "bool-dim", "float-dim", "cover-minus-1",
-             "cover-out-of-range", "bool-cover", "float-cover", "bytes-key"],
+             "cover-out-of-range", "bool-cover", "float-cover", "mixed-cover", "nested-cover",
+             "bytes-key"],
     )
     def test_constructor_rejects(self, table, message):
         with pytest.raises(ValueError, match=message):
             CubicalComplex(*table)
-
-    def test_keyed_faces_reject_unknown_cover(self):
-        with pytest.raises(ValueError, match="face 'e' covers unknown face 'v'"):
-            CubicalComplex.from_keyed_faces({"e": (1, ["v"])})
 
     def test_complexes_are_immutable(self):
         K = gen_cube(1)

@@ -24,6 +24,7 @@ from cubary import (
     summary,
 )
 
+from builder_oracle import from_keyed_faces_oracle
 from conftest import expand_hsc_oracle
 
 f_vectors = st.lists(
@@ -225,9 +226,9 @@ class TestSummary:
             )
         faces["w"] = (0, [])
         faces["dangle"] = (1, ["w", ";0,0"])
-        from cubary import CubicalComplex, validate
+        from cubary import validate
 
-        K = CubicalComplex.from_keyed_faces(faces)
+        K = from_keyed_faces_oracle(faces)
         assert validate(K).ok
         payload = summary(K)
         assert payload["f"] == [5, 5, 1]

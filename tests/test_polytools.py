@@ -63,6 +63,14 @@ class TestRatPoly:
         with pytest.raises(TypeError, match="^polynomial exponent must be an int, got "):
             RatPoly((1, 1)) ** n
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_scalar_refused(self, flag):
+        # as p + True and divmod(p, True) already are
+        p = RatPoly((1, 1))
+        for product in (lambda: p * flag, lambda: flag * p):
+            with pytest.raises(TypeError, match="^expected int or Fraction, got bool$"):
+                product()
+
     def test_power_edge_cases(self):
         p = RatPoly((1, 1))
         assert p**0 == RatPoly((1,))
@@ -355,6 +363,11 @@ class TestShapePredicates:
     def test_cases(self, v, expected):
         got = shape_predicates(v)
         assert (got["nonnegative"], got["symmetric"], got["unimodal"]) == expected
+
+    @pytest.mark.parametrize("v", [[0.5, 1], [True], [1, 2, False]])
+    def test_inexact_entries_refused(self, v):
+        with pytest.raises(TypeError, match="^expected int or Fraction, got (float|bool)$"):
+            shape_predicates(v)
 
     def test_exact_rationals_accepted(self):
         got = shape_predicates((Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)))

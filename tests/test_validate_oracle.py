@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from cubary import CubicalComplex, VoxelSpec, from_voxels, subdivide, validate
 from cubary.corpus import default_corpus
+from builder_oracle import from_keyed_faces_oracle
 from conftest import random_voxel_complexes
 from validate_oracle import validate_facet_local, validate_oracle
 
@@ -80,7 +81,7 @@ def test_free_coordinates_reported_for_the_face_lower_set_lists_first():
     faces = _table(from_voxels(VoxelSpec(3, ((0, 1, 1),))))
     faces["2;1,2,1"] = (1, [";1,2,2"])
     faces["1,2;1,1,1"] = (2, ["1;1,1,1", "2;1,1,1"])
-    K = CubicalComplex.from_keyed_faces(faces)
+    K = from_keyed_faces_oracle(faces)
     report = validate(K)
     assert "face 26 of dim 3 is not a cube: face 7 of dim 0 has 1 free coordinates" in report.violations
     assert report == validate_facet_local(K)
@@ -92,7 +93,7 @@ def _star(k: int) -> CubicalComplex:
     for i in range(k):
         faces[f"v{i}"] = (0, [])
         faces[f"e{i}"] = (1, ["c", f"v{i}"])
-    return CubicalComplex.from_keyed_faces(faces)
+    return from_keyed_faces_oracle(faces)
 
 
 def test_star_of_edges_needs_no_pair_set():
@@ -156,7 +157,7 @@ MUTATIONS = [drop_cover, glue_vertices, double_top_cell, wrong_dimension_cover]
 
 def _check_mutant(mutation, name, K, choose):
     faces = mutation(_table(K), choose)
-    M = CubicalComplex.from_keyed_faces(faces)
+    M = from_keyed_faces_oracle(faces)
     _agreed_verdict(M, f"{mutation.__name__}({name})")
 
 
@@ -201,7 +202,7 @@ def voxel_complex_with_one_cover_edited(draw):
         cov = cov + [other]
     else:
         cov = [other if c == gone else c for c in cov]
-    return CubicalComplex.from_keyed_faces({**faces, key: (dim_k, cov)})
+    return from_keyed_faces_oracle({**faces, key: (dim_k, cov)})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -72,6 +72,29 @@ def test_cached_scaling_leaves_value_alone():
     assert repr(a) == repr(b) == "CoeffMatrix(kind='B', d=2, entries=((Fraction(1, 2), 3), (1, 0)))"
 
 
+@pytest.mark.parametrize(
+    "kind,d,entries,error,message",
+    [
+        ("Z", -3, ((1, 2),), ValueError, "kind 'B' or 'C' and d >= 1"),
+        ("B", 0, (), ValueError, "kind 'B' or 'C' and d >= 1"),
+        ("B", True, ((1,),), TypeError, "a str kind and an int d"),
+        (b"B", 1, ((1,),), TypeError, "a str kind and an int d"),
+        ("B", 1, [[1]], TypeError, "a tuple of tuples"),
+        ("B", 1, ([1],), TypeError, "a tuple of tuples"),
+        ("B", 2, ((1, 2),), ValueError, r"^B\(2\) entries must be 2 x 2$"),
+        ("C", 1, ((1,),), ValueError, r"^C\(1\) entries must be 2 x 2$"),
+        ("C", 1, ((1, 2), (3,)), ValueError, r"^C\(1\) entries must be 2 x 2$"),
+        ("B", 1, ((0.5,),), TypeError, "ints or Fractions"),
+        ("B", 1, ((True,),), TypeError, "ints or Fractions"),
+    ],
+    ids=["kind-Z-d-minus-3", "d-zero", "bool-d", "bytes-kind", "list-entries", "list-row",
+         "B-too-short", "C-too-short", "C-ragged", "float-entry", "bool-entry"],
+)
+def test_coeff_matrix_rejects(kind, d, entries, error, message):
+    with pytest.raises(error, match=message):
+        CoeffMatrix(kind, d, entries)
+
+
 # (type, a factory, the instance's fields)
 VALUES = [
     *[(cls, lambda cls=cls, fields=fields: cls(**fields), tuple(fields))
