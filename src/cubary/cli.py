@@ -17,6 +17,10 @@ coeffs -d D when its output projects over 10^7 bytes, so coeffs takes
 D <= 221 (B) or D <= 220 (C). verify exits 3 before subdividing a stdin
 complex whose subdivision projects over the default face budget.
 
+python -m cubary runs with the cyclic collector off, as nothing a command
+makes forms a reference cycle; main() called from Python keeps the
+caller's setting.
+
 mine builds no complex and loads no poset layer: it counts each draw's
 faces from one bitset of its cells, builds corner tuples only for a
 finding, and evaluates each distinct f-vector once. On a 2-CPU Xeon VM

@@ -173,26 +173,6 @@ class CubicalComplex(_Frozen):
             out[i] = frozenset(acc) if ok else self.lower_set(i)
         return out  # type: ignore[return-value]
 
-    def leq(self, a: int, b: int) -> bool:
-        """True iff face a is a subface of (or equal to) face b."""
-        self._check_id(a)
-        self._check_id(b)
-        if a == b:
-            return True
-        if self.dims[a] >= self.dims[b]:
-            return False
-        target_dim = self.dims[a]
-        seen = {b}
-        stack = [b]
-        while stack:
-            for c in self._cov[stack.pop()]:
-                if c == a:
-                    return True
-                if c not in seen and self.dims[c] > target_dim:
-                    seen.add(c)
-                    stack.append(c)
-        return False
-
     def _check_id(self, fid: int):
         if type(fid) is not int or not 0 <= fid < len(self.dims):
             raise ValueError(f"invalid face id {fid!r}")

@@ -82,18 +82,22 @@ def _f_counts(dim: int, cells: bytes) -> list[int]:
         pad, chunk = bytes(run), GRID_SIDE * run
         cells = pad.join([cells[i : i + chunk] for i in range(0, len(cells), chunk)]) + pad
     f = [0] * (dim + 1)
-
-    # Fixing an axis spreads the face corners by +1 along it. Each set of
-    # fixed axes extends the one without its lowest axis, depth first, so
-    # only the sets on the current path, at most D + 1, are alive.
-    def walk(corners: int, below: int, free: int) -> None:
-        f[free] += corners.bit_count()
-        for axis in range(below):
-            walk(corners | corners << (GRID_SIDE + 1) ** axis, axis, free - 1)
-
     # one digit per bit, highest first, which int() parses in linear time
-    walk(int(cells[::-1].translate(_DIGIT), 2), dim, dim)
+    _walk(f, int(cells[::-1].translate(_DIGIT), 2), dim, dim)
     return f
+
+
+def _walk(f: list[int], corners: int, below: int, free: int) -> None:
+    """Count the faces whose corners are the bits of corners into f[free].
+
+    Fixing an axis spreads the face corners by +1 along it. Each set of
+    fixed axes extends the one without its lowest axis, depth first, so
+    only the sets on the current path, at most D + 1, are alive. A module
+    function, not a self-calling closure, so no call leaves a cycle.
+    """
+    f[free] += corners.bit_count()
+    for axis in range(below):
+        _walk(f, corners | corners << (GRID_SIDE + 1) ** axis, axis, free - 1)
 
 
 def bernoulli_voxel_spec(rng: random.Random, dim: int) -> VoxelSpec:

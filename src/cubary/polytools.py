@@ -4,9 +4,9 @@ real root counting and isolation, and vector shape predicates.
 Everything here is exact: coefficients are Python ints or
 ``fractions.Fraction`` and no floating point is used anywhere. One
 primitive integer Sturm sequence serves root counting and, divided
-exactly by its last member, rational root isolation. One linear-factor
-step, ``_times`` or ``_divided``, expands the substitution's linear
-powers.
+exactly by its last member over the ints (``_quotient``), rational root
+isolation. One linear-factor step, ``_times`` or ``_divided``, expands
+the substitution's linear powers. ``RatPoly`` has no Fraction division.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class RatPoly(_Record):
 
     Coefficients are stored constant-term first with no trailing zeros;
     the zero polynomial has an empty coefficient tuple and degree -1.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable; no division or derivative.
     """
 
     __slots__ = ("coeffs",)
@@ -111,42 +111,11 @@ class RatPoly(_Record):
             n >>= 1
         return result
 
-    def __divmod__(self, other):
-        other = _as_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        lead = Fraction(other.leading())
-        quot = [0] * max(dd - dv + 1, 0)
-        for k in range(dd - dv, -1, -1):
-            c = rem[dv + k]
-            if c == 0:
-                continue
-            q = _exact(c / lead)
-            quot[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[j + k] -= q * b
-        return RatPoly(quot), RatPoly(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "RatPoly") -> "RatPoly":
-        """Divide, requiring a zero remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"inexact polynomial division: remainder {r}")
-        return q
-
     def __call__(self, t: Scalar) -> Scalar:
         t, acc = _exact(t), 0
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return _exact(acc) if isinstance(acc, Fraction) else acc
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __str__(self):
         if not self.coeffs:

@@ -84,7 +84,7 @@ class CoeffMatrix(_Record):
         return {
             "kind": self.kind,
             "d": self.d,
-            "entries": [[str(Fraction(x)) for x in row] for row in self.entries],
+            "entries": [[str(x) for x in row] for row in self.entries],
         }
 
 

@@ -1,6 +1,7 @@
 """The seed's trial-division root search, Fraction-evaluated C-matrix
 cross-check, term-by-term alternating sums, Fraction matrix-vector
-product, Fraction-built B and C matrices, Fraction Euclid behind the
+product, Fraction-built B and C matrices, the Fraction long division
+and derivative that ``RatPoly`` once had, Fraction Euclid behind the
 gcd, square-free part and Sturm counts, the Moebius substitution by
 ``RatPoly`` powers, the Fraction route from the Moebius substitution to
 the iterates and the limit rows, and the double sums behind
@@ -17,7 +18,8 @@ and ``_c_closed_forms`` build integer columns over 2^(d-1) and convert
 each entry once, ``real_root_count`` and ``is_real_rooted`` read one
 primitive integer Sturm sequence, ``rational_roots`` divides that
 sequence exactly by its last member, gcd(p, p'), in place of a separate
-gcd and square-free part, and ``mobius_transform`` sums by
+gcd and square-free part, so ``RatPoly`` keeps no division or
+derivative, and ``mobius_transform`` sums by
 homogeneous Horner with one linear factor per step; the iterates,
 ``_limit_rows``, ``f_of_subdivision`` and ``f_from_hsc`` run that sum
 on integer numerators and form Fractions only in what they return. The oracles
@@ -37,7 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from cubary import CoeffMatrix, FVector, RatPoly, ShortHVector, b_matrix, hsc_from_hc
-from cubary.polytools import Scalar, _divided, _homogeneous
+from cubary.polytools import Scalar, _divided, _exact, _homogeneous
 
 
 def rational_roots_oracle(p: RatPoly) -> list[Fraction]:
@@ -199,7 +201,7 @@ def c_closed_forms_oracle(d: int) -> tuple:
     cols = []
     # j = 0: (x (x+3)^(d-1) / 2^(d-1) + 1) / (1+x)
     num = x * RatPoly((3, 1)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + 1
-    cols.append(num.exact_div(one_plus_x).padded(d + 1))
+    cols.append(exact_div_oracle(num, one_plus_x).padded(d + 1))
     # 1 <= j <= d-1: x (3x+1)^(j-1) (x+3)^(d-1-j) / 2^(d-3)
     scale = Fraction(2) ** (3 - d)
     for j in range(1, d):
@@ -207,15 +209,45 @@ def c_closed_forms_oracle(d: int) -> tuple:
         cols.append(p.padded(d + 1))
     # j = d: (x (3x+1)^(d-1) / 2^(d-1) + x^(d+1)) / (1+x)
     num = x * RatPoly((1, 3)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + x ** (d + 1)
-    cols.append(num.exact_div(one_plus_x).padded(d + 1))
+    cols.append(exact_div_oracle(num, one_plus_x).padded(d + 1))
     return _columns_to_rows(cols, d + 1)
+
+
+def divmod_oracle(p: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Quotient and remainder of p by q, by Fraction long division."""
+    if q.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    dd, dv = len(rem) - 1, q.degree
+    lead = Fraction(q.leading())
+    quot = [0] * max(dd - dv + 1, 0)
+    for k in range(dd - dv, -1, -1):
+        c = rem[dv + k]
+        if c == 0:
+            continue
+        quot[k] = _exact(c / lead)
+        for j, b in enumerate(q.coeffs):
+            rem[j + k] -= quot[k] * b
+    return RatPoly(quot), RatPoly(rem)
+
+
+def exact_div_oracle(p: RatPoly, q: RatPoly) -> RatPoly:
+    """p / q, requiring a zero remainder."""
+    quo, rem = divmod_oracle(p, q)
+    if not rem.is_zero():
+        raise ValueError(f"inexact polynomial division: remainder {rem}")
+    return quo
+
+
+def derivative_oracle(p: RatPoly) -> RatPoly:
+    return RatPoly(i * c for i, c in enumerate(p.coeffs) if i > 0)
 
 
 def poly_gcd_oracle(p: RatPoly, q: RatPoly) -> RatPoly:
     """Monic gcd (a nonzero constant is returned as 1)."""
     a, b = p, q
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, divmod_oracle(a, b)[1]
     if a.is_zero():
         return a
     return a * Fraction(1, Fraction(a.leading()))
@@ -227,15 +259,14 @@ def square_free_part_oracle(p: RatPoly) -> RatPoly:
         raise ValueError("zero polynomial has no square-free part")
     if p.degree == 0:
         return RatPoly((1,))
-    g = poly_gcd_oracle(p, p.derivative())
-    return p.exact_div(g)
+    return exact_div_oracle(p, poly_gcd_oracle(p, derivative_oracle(p)))
 
 
 def sturm_chain_oracle(p: RatPoly) -> list[RatPoly]:
     """Sturm sequence p, p', then negated Euclidean remainders."""
-    chain = [p, p.derivative()]
+    chain = [p, derivative_oracle(p)]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
+        r = divmod_oracle(chain[-2], chain[-1])[1]
         if r.is_zero():
             break
         chain.append(-r)

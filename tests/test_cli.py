@@ -1,5 +1,8 @@
+import contextlib
+import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -36,6 +39,7 @@ from cubary import (
     limit_distance_hc,
     limit_distance_hsc,
     shape_predicates,
+    subdivide,
 )
 import cubary
 from cubary import cli as cli_mod
@@ -722,6 +726,82 @@ class TestStartup:
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
         assert tuple(suite.choices) == SUITES + ("all",)
+
+
+def _wide_json() -> str:
+    """The 14,662-face subdivision of 190 unit cubes of the side-6 block."""
+    cells = list(itertools.product(range(6), repeat=3))
+    corners = sorted(random.Random(0).sample(cells, 190))
+    return subdivide(from_voxels(VoxelSpec(3, tuple(corners)))).to_json()
+
+
+class TestCollector:
+    """python -m cubary runs with the cyclic collector off. That is safe
+    while a command leaves nothing that only the collector frees, so what
+    it leaves (the argparse parser's own cycles) must not grow with the
+    input or the trial count."""
+
+    @pytest.fixture()
+    def collectable(self, monkeypatch):
+        def run(argv, stdin_text=""):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                gc.collect()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                return gc.collect()
+            finally:
+                if enabled:
+                    gc.enable()
+
+        return run
+
+    def test_mine_leaves_no_cycle_per_trial(self, collectable):
+        # a self-calling closure in the face count left one cycle per call:
+        # 768 objects at 100 trials and 5,268 at 1,000
+        argv = ["mine", "--target", "realroot", "--dim", "3", "--seed", "1", "--trials"]
+        collectable([*argv, "10"])
+        assert collectable([*argv, "100"]) == collectable([*argv, "1000"])
+
+    # each side is (argv, a function that makes its stdin)
+    @pytest.mark.parametrize(
+        "small,large",
+        [
+            ((["vectors"], gen_cube(3).to_json), (["vectors"], _wide_json)),
+            ((["subdivide", "-n", "1"], gen_cube(3).to_json), (["subdivide", "-n", "2"], gen_cube(3).to_json)),
+            ((["limit", "--max-n", "3"], gen_cube_boundary(4).to_json),
+             (["limit", "--max-n", "30"], gen_cube_boundary(4).to_json)),
+        ],
+        ids=["vectors", "subdivide", "limit"],
+    )
+    def test_command_leaves_the_same_on_any_size(self, collectable, small, large):
+        (small_argv, small_in), (large_argv, large_in) = small, large
+        collectable(small_argv, small_in())
+        assert collectable(small_argv, small_in()) == collectable(large_argv, large_in())
+
+    def test_python_m_runs_without_collector(self):
+        probe = (
+            "import gc, runpy, cubary.cli as cli; "
+            "cli.main = lambda: print(gc.isenabled()) or 0; "
+            "runpy.run_module('cubary', run_name='__main__')"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_keeps_callers_setting(self, cli, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert cli(["gen", "--cube", "2"])[0] == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 # the public names in their published order

@@ -229,11 +229,13 @@ class TestValidate:
 
 
 class TestPosetOrder:
+    # a <= b is `a in K.lower_set(b)`
     def test_leq_is_partial_order_exhaustively(self):
         # cube(3) has 27 faces, sd(square) has 25; both well under 200
         for K in (gen_cube(3), subdivide(gen_cube(2))):
             n = len(K)
-            rel = [[K.leq(a, b) for b in range(n)] for a in range(n)]
+            below = [K.lower_set(b) for b in range(n)]
+            rel = [[a in below[b] for b in range(n)] for a in range(n)]
             for a in range(n):
                 assert rel[a][a]
                 for b in range(n):
@@ -247,24 +249,21 @@ class TestPosetOrder:
         K = gen_cube(1)
         assert K.dims == (0, 0, 1)
         v0, v1, e = range(3)
-        assert K.leq(v0, e) and K.leq(v1, e)
-        assert not K.leq(e, v0)
-        assert not K.leq(v0, v1)
+        assert K.lower_set(e) == {v0, v1, e}
+        assert K.lower_set(v0) == {v0} and K.lower_set(v1) == {v1}
 
     def test_invalid_id_rejected(self):
         K = gen_cube(1)
-        with pytest.raises(ValueError):
-            K.leq(0, 99)
-        with pytest.raises(ValueError):
-            K.leq(-1, 0)
+        for fid in (99, 3, -1):
+            with pytest.raises(ValueError, match=re.escape(f"invalid face id {fid!r}")):
+                K.lower_set(fid)
 
     @pytest.mark.parametrize("fid", [False, True, 1.0])
     def test_non_int_id_rejected(self, fid):
         # False and True equal the ids 0 and 1, which isinstance admitted
         K = gen_cube(1)
-        for call in (lambda: K.lower_set(fid), lambda: K.leq(fid, 2), lambda: K.leq(0, fid)):
-            with pytest.raises(ValueError, match=re.escape(f"invalid face id {fid!r}")):
-                call()
+        with pytest.raises(ValueError, match=re.escape(f"invalid face id {fid!r}")):
+            K.lower_set(fid)
 
     def test_lower_set_of_top_cell_is_everything(self):
         K = gen_cube(2)

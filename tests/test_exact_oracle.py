@@ -86,6 +86,7 @@ from exact_oracle import (
     c_closed_forms_oracle,
     check_c_bivariate_grid_oracle,
     check_c_bivariate_oracle,
+    derivative_oracle,
     f_from_hsc_oracle,
     f_of_subdivision_oracle,
     hc_poly_of_iterate_oracle,
@@ -144,7 +145,7 @@ def _multiple(ints: list, q: RatPoly) -> bool:
 def _agree(p: RatPoly) -> None:
     if p.degree > 0:
         chain = _chain(p)
-        assert _multiple(chain[-1], poly_gcd_oracle(p, p.derivative())), p
+        assert _multiple(chain[-1], poly_gcd_oracle(p, derivative_oracle(p))), p
         assert _multiple(_quotient(chain[0], chain[-1]), square_free_part_oracle(p)), p
     if p.is_zero():
         for routine, oracle in ROUTINES:
