@@ -355,6 +355,7 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: each leaves objects in reference cycles
 def build_parser() -> _Parser:
     p = _Parser(prog="cubary", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

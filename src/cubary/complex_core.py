@@ -85,6 +85,9 @@ class CubicalComplex(_Frozen):
     covered: frozenset of covered (codim-1) face ids per id, built on first
              access from the sorted id tuples the complex stores
     keys:    canonical key string per id
+
+    The constructor checks a face table (row i: dim, covered rows, key),
+    then sorts rows into (dim, key) order, renumbering covers to match.
     """
 
     __slots__ = ("dims", "_cov", "keys", "_covered")
@@ -105,6 +108,10 @@ class CubicalComplex(_Frozen):
             raise ValueError(f"covered ids must be ints in 0..{len(dims) - 1}")
         if {*map(type, keys)} != {str}:
             raise ValueError("face keys must be strings")
+        if not _in_order(dims, keys):  # renumbered once checked, so no -1 wraps to the last row
+            order, new_id = _canonical_order(dims, keys)
+            dims, keys = tuple(map(dims.__getitem__, order)), tuple(map(keys.__getitem__, order))
+            cov = [map(new_id.__getitem__, cov[i]) for i in order]
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_cov", tuple(map(tuple, map(sorted, map(set, cov)))))
         object.__setattr__(self, "keys", keys)
@@ -117,23 +124,6 @@ class CubicalComplex(_Frozen):
         if self._covered is None:
             object.__setattr__(self, "_covered", tuple(map(frozenset, self._cov)))
         return self._covered
-
-    @classmethod
-    def _from_table(cls, dims, covered, keys) -> "CubicalComplex":
-        """Build from a face table in any order, canonicalizing ids.
-
-        Row i is face i: its dim, the rows it covers, and its key. Rows out
-        of (dim, key) order are sorted and covers renumbered to match, so
-        covers must be ids in 0..N-1: the constructor sees them renumbered.
-        """
-        if _in_order(dims, keys):
-            return cls(dims, covered, keys)
-        order, new_id = _canonical_order(dims, keys)
-        return cls(
-            [dims[i] for i in order],
-            [map(new_id.__getitem__, covered[i]) for i in order],
-            [keys[i] for i in order],
-        )
 
     def __len__(self):
         return len(self.dims)
@@ -263,8 +253,6 @@ class CubicalComplex(_Frozen):
                 raise ValueError(f"face {ids[stray]} covers unknown id {c}")
             dims, covered, keys = ([col[r] for r in row] for col in (dims, covered, keys))
             K = cls(dims, covered, keys)
-        if not _in_order(K.dims, K.keys):  # renumbered only once its ids are checked
-            K = cls._from_table(K.dims, K._cov, K.keys)
         if K.dim != declared:
             raise ValueError(f"declared dim {declared} != max face dim {K.dim}")
         # the complex keeps each cover once, so a repeat shortens the total
@@ -321,13 +309,13 @@ class ValidationReport(_Record):
 def validate(K: CubicalComplex) -> ValidationReport:
     """Check the cubical-complex axioms; violations are data, not errors.
 
-    Checked, in order: canonical id ordering; gradedness (every cover
-    drops dimension by exactly 1, vertices cover nothing); the cube cover
-    count (a j-face covers exactly 2j faces); then, one maximal face at a
-    time, (i) the faces below a maximal face of dimension j form the face
-    lattice of a j-cube, and (ii) two maximal faces sharing a vertex have
-    a unique maximal common subface. Checks (i) and (ii) are skipped when
-    grading is broken, since lower sets are then meaningless.
+    Checked, in order: gradedness (every cover drops dimension by
+    exactly 1, vertices cover nothing); the cube cover count (a j-face
+    covers exactly 2j faces); then, one maximal face at a time, (i) the
+    faces below a maximal face of dimension j form the face lattice of a
+    j-cube, and (ii) two maximal faces sharing a vertex have a unique
+    maximal common subface. Checks (i) and (ii) are skipped when grading
+    is broken, since lower sets are then meaningless.
 
     Check (i) labels each face x below the maximal face M by the set of
     M's facets above x. Two facets are opposite when they share no
@@ -365,9 +353,7 @@ def validate(K: CubicalComplex) -> ValidationReport:
     if not isinstance(K, CubicalComplex):
         raise TypeError(f"validate needs a CubicalComplex, got {type(K).__name__}")
     v: list[str] = []
-    dims, covered, keys = K.dims, K._cov, K.keys
-    if not _in_order(dims, keys):
-        v.append("faces are not in canonical (dim, key) order")
+    dims, covered = K.dims, K._cov
     graded, miscounted = True, []
     for i, (d, cov) in enumerate(zip(dims, covered)):
         if d < 0:
@@ -509,7 +495,7 @@ def gen_cube(d: int) -> CubicalComplex:
     """The complex of all faces of the standard d-cube, top cell included."""
     if type(d) is not int or d < 0:
         raise ValueError("d must be >= 0")
-    return CubicalComplex._from_table(*_cube_faces(d, [(0,) * d]))
+    return CubicalComplex(*_cube_faces(d, [(0,) * d]))
 
 
 def gen_cube_boundary(d: int) -> CubicalComplex:
@@ -518,7 +504,7 @@ def gen_cube_boundary(d: int) -> CubicalComplex:
         raise ValueError("cube boundary needs d >= 1 (no empty complexes)")
     dims, covered, keys = _cube_faces(d, [(0,) * d])
     # the top cell has the full mask, so it is the last row
-    return CubicalComplex._from_table(dims[:-1], covered[:-1], keys[:-1])
+    return CubicalComplex(dims[:-1], covered[:-1], keys[:-1])
 
 
 def from_voxels(spec: VoxelSpec) -> CubicalComplex:
@@ -528,4 +514,4 @@ def from_voxels(spec: VoxelSpec) -> CubicalComplex:
     sharing a face deduplicate automatically, and axis-aligned unit-cube
     geometry makes the intersection property hold by construction.
     """
-    return CubicalComplex._from_table(*_cube_faces(spec.ambient_dim, spec.corners))
+    return CubicalComplex(*_cube_faces(spec.ambient_dim, spec.corners))

@@ -217,15 +217,20 @@ class TestValidate:
     @pytest.mark.parametrize(
         "table,violation",
         [
-            (([0, 0], [[], []], ["b", "a"]), "faces are not in canonical (dim, key) order"),
             (([-1], [[]], ["a"]), "face 0 has negative dimension -1"),
         ],
-        ids=["non-canonical-order", "negative-dim"],
+        ids=["negative-dim"],
     )
     def test_table_violation_reported(self, table, violation):
         report = validate(CubicalComplex(*table))
         assert not report.ok
         assert violation in report.violations
+
+    def test_constructor_puts_rows_in_canonical_order(self):
+        # a table out of (dim, key) order is renumbered, so validate has no order to flag
+        K = CubicalComplex([0, 0], [[], []], ["b", "a"])
+        assert K.keys == ("a", "b")
+        assert validate(K).ok
 
 
 class TestPosetOrder:
@@ -416,14 +421,38 @@ class TestSerialization:
             (([0], [["a", 1]], ["k"]), r"^covered ids must be ints in 0\.\.0$"),
             (([0], [[[1]]], ["k"]), r"^covered ids must be ints in 0\.\.0$"),
             (([0], [[]], [b"a"]), "^face keys must be strings$"),
+            # checked before the rows are put in (dim, key) order, which would
+            # read -1 as the last row and True as row 1
+            (([1, 0, 0], [[1, -1], [], []], "eba"), r"^covered ids must be ints in 0\.\.2$"),
+            (([1, 0, 0], [[1, 3], [], []], "eba"), r"^covered ids must be ints in 0\.\.2$"),
+            (([1, 0, 0], [[1, True], [], []], "eba"), r"^covered ids must be ints in 0\.\.2$"),
         ],
         ids=["empty", "lengths", "duplicate-keys", "bool-dim", "float-dim", "cover-minus-1",
              "cover-out-of-range", "bool-cover", "float-cover", "mixed-cover", "nested-cover",
-             "bytes-key"],
+             "bytes-key", "unordered-cover-minus-1", "unordered-cover-n", "unordered-bool-cover"],
     )
     def test_constructor_rejects(self, table, message):
         with pytest.raises(ValueError, match=message):
             CubicalComplex(*table)
+
+    def test_decoder_builds_once(self, monkeypatch):
+        # ids in list order, rows out of canonical order: one constructor call
+        calls = []
+        init = CubicalComplex.__init__
+
+        def counting(self, *table):
+            calls.append(len(table[0]))
+            init(self, *table)
+
+        monkeypatch.setattr(CubicalComplex, "__init__", counting)
+        faces = [
+            {"id": 0, "dim": 1, "covered": [1, 2], "key": "e"},
+            {"id": 1, "dim": 0, "covered": [], "key": "b"},
+            {"id": 2, "dim": 0, "covered": [], "key": "a"},
+        ]
+        K = CubicalComplex.from_json_obj({"dim": 1, "faces": faces})
+        assert calls == [3]
+        assert (K.keys, K.covered) == (("a", "b", "e"), (set(), set(), {0, 1}))
 
     def test_complexes_are_immutable(self):
         K = gen_cube(1)
@@ -449,15 +478,15 @@ class TestCoverStorage:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(rng=st.randoms(use_true_random=False))
-    def test_from_table_ignores_row_order(self, rng):
+    def test_constructor_ignores_row_order(self, rng):
         K = subdivide(gen_cube_boundary(3))
         perm = list(range(len(K)))
         rng.shuffle(perm)  # row perm[i] holds face i
         dims, covered, keys = [None] * len(K), [None] * len(K), [None] * len(K)
         for i, r in enumerate(perm):
             dims[r], covered[r], keys[r] = K.dims[i], [perm[c] for c in K.covered[i]], K.keys[i]
-        canonical = CubicalComplex._from_table(K.dims, [list(c) for c in K.covered], K.keys)
-        shuffled = CubicalComplex._from_table(dims, covered, keys)
+        canonical = CubicalComplex(K.dims, [list(c) for c in K.covered], K.keys)
+        shuffled = CubicalComplex(dims, covered, keys)
         assert canonical.to_json() == shuffled.to_json() == K.to_json()
         assert canonical.covered == shuffled.covered == K.covered
 
