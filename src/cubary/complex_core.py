@@ -82,20 +82,20 @@ class CubicalComplex(_Frozen):
     Attributes
     ----------
     dims:    face dimension per id
-    covered: frozenset of covered (codim-1) face ids per id, built on first
-             access from the sorted id tuples the complex stores
+    covered: ascending tuple of covered (codim-1) face ids per id, no repeats
     keys:    canonical key string per id
 
     The constructor checks a face table (row i: dim, covered rows, key),
     then sorts rows into (dim, key) order, renumbering covers to match.
     """
 
-    __slots__ = ("dims", "_cov", "keys", "_covered")
+    __slots__ = ("dims", "covered", "keys")
 
     def __init__(self, dims, covered, keys):
-        dims = tuple(dims)
-        cov = tuple(map(tuple, covered))
-        keys = tuple(keys)
+        try:
+            dims, cov, keys = tuple(dims), tuple(map(tuple, covered)), tuple(keys)
+        except TypeError as exc:
+            raise ValueError(f"face table columns and covers must be iterable: {exc}") from exc
         if not dims:
             raise ValueError("empty complexes are not supported")
         if not (len(dims) == len(cov) == len(keys)):
@@ -113,17 +113,10 @@ class CubicalComplex(_Frozen):
             dims, keys = tuple(map(dims.__getitem__, order)), tuple(map(keys.__getitem__, order))
             cov = [map(new_id.__getitem__, cov[i]) for i in order]
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_cov", tuple(map(tuple, map(sorted, map(set, cov)))))
+        object.__setattr__(self, "covered", tuple(map(tuple, map(sorted, map(set, cov)))))
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "_covered", None)
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate canonical keys")
-
-    @property
-    def covered(self) -> tuple[frozenset[int], ...]:
-        if self._covered is None:
-            object.__setattr__(self, "_covered", tuple(map(frozenset, self._cov)))
-        return self._covered
 
     def __len__(self):
         return len(self.dims)
@@ -132,35 +125,35 @@ class CubicalComplex(_Frozen):
     def dim(self) -> int:
         return max(self.dims)
 
-    def lower_set(self, fid: int) -> frozenset[int]:
-        """Ids of all subfaces of fid, including fid itself."""
+    def lower_set(self, fid: int) -> tuple[int, ...]:
+        """Ascending ids of all subfaces of fid, including fid itself."""
         self._check_id(fid)
         seen = {fid}
         stack = [fid]
         while stack:
-            for c in self._cov[stack.pop()]:
+            for c in self.covered[stack.pop()]:
                 if c not in seen:
                     seen.add(c)
                     stack.append(c)
-        return frozenset(seen)
+        return tuple(sorted(seen))
 
-    def all_lower_sets(self) -> list[frozenset[int]]:
-        """Lower set of every face; single bottom-up pass over the table.
+    def all_lower_sets(self) -> list[tuple[int, ...]]:
+        """lower_set() of every face; single bottom-up pass over the table.
 
         Assumes covered ids point to lower ids (true for canonically
         ordered, graded complexes); falls back to per-face search when
         the assumption fails so it stays usable on broken input.
         """
-        out: list[frozenset[int] | None] = [None] * len(self.dims)
+        out: list[tuple[int, ...] | None] = [None] * len(self.dims)
         for i in range(len(self.dims)):
             acc = {i}
             ok = True
-            for c in self._cov[i]:
+            for c in self.covered[i]:
                 if c >= i or out[c] is None:
                     ok = False
                     break
-                acc |= out[c]
-            out[i] = frozenset(acc) if ok else self.lower_set(i)
+                acc.update(out[c])
+            out[i] = tuple(sorted(acc)) if ok else self.lower_set(i)
         return out  # type: ignore[return-value]
 
     def _check_id(self, fid: int):
@@ -175,7 +168,7 @@ class CubicalComplex(_Frozen):
         return self.keys
 
     def to_json_obj(self) -> dict:
-        faces = enumerate(zip(self.dims, self._cov, self._json_keys()))
+        faces = enumerate(zip(self.dims, self.covered, self._json_keys()))
         return {
             "dim": self.dim,
             "faces": [{"id": i, "dim": d, "covered": list(c), "key": k} for i, (d, c, k) in faces],
@@ -187,7 +180,7 @@ class CubicalComplex(_Frozen):
         ids = list(map(str, range(len(self.dims))))  # each id rendered once
         faces = ",".join(
             f'{{"id":{i},"dim":{d},"covered":[{",".join(map(ids.__getitem__, c))}],"key":{quote(k)}}}'
-            for i, d, c, k in zip(ids, self.dims, self._cov, self._json_keys())
+            for i, d, c, k in zip(ids, self.dims, self.covered, self._json_keys())
         )
         return f'{{"dim":{self.dim},"faces":[{faces}]}}'
 
@@ -256,7 +249,7 @@ class CubicalComplex(_Frozen):
         if K.dim != declared:
             raise ValueError(f"declared dim {declared} != max face dim {K.dim}")
         # the complex keeps each cover once, so a repeat shortens the total
-        if sum(map(len, covered)) != sum(map(len, K._cov)):
+        if sum(map(len, covered)) != sum(map(len, K.covered)):
             fid, cov = next(row for row in enumerate(covered) if len(set(row[1])) < len(row[1]))
             repeated = next(c for c in cov if cov.count(c) > 1)
             raise ValueError(f"face {fid} covers id {repeated} more than once")
@@ -353,7 +346,7 @@ def validate(K: CubicalComplex) -> ValidationReport:
     if not isinstance(K, CubicalComplex):
         raise TypeError(f"validate needs a CubicalComplex, got {type(K).__name__}")
     v: list[str] = []
-    dims, covered = K.dims, K._cov
+    dims, covered = K.dims, K.covered
     graded, miscounted = True, []
     for i, (d, cov) in enumerate(zip(dims, covered)):
         if d < 0:
@@ -412,7 +405,7 @@ def _cube_labels(K: CubicalComplex, top: int) -> tuple[dict, list, dict | str]:
     maps each label back to its face, or says why these faces are not a
     cube's face lattice. The pass goes level by level, so K must be graded.
     """
-    dims, covered = K.dims, K._cov
+    dims, covered = K.dims, K.covered
     j = dims[top]
     facets = covered[top]
     label = {top: 0, **{f: 1 << k for k, f in enumerate(facets)}}

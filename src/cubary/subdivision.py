@@ -71,9 +71,9 @@ def subdivide(K: CubicalComplex) -> CubicalComplex:
     covered: list[list[int]] = [[] for _ in order]
     for g, in_g in enumerate(ids):
         for x, i in in_g.items():
-            for c in K._cov[x]:
+            for c in K.covered[x]:
                 covered[in_g[c]].append(i)
-        for g2 in K._cov[g]:
+        for g2 in K.covered[g]:
             for f, i in ids[g2].items():
                 covered[in_g[f]].append(i)
     return CubicalComplex([dims[i] for i in order], covered, [keys[i] for i in order])

@@ -254,8 +254,8 @@ class TestPosetOrder:
         K = gen_cube(1)
         assert K.dims == (0, 0, 1)
         v0, v1, e = range(3)
-        assert K.lower_set(e) == {v0, v1, e}
-        assert K.lower_set(v0) == {v0} and K.lower_set(v1) == {v1}
+        assert K.lower_set(e) == (v0, v1, e)
+        assert K.lower_set(v0) == (v0,) and K.lower_set(v1) == (v1,)
 
     def test_invalid_id_rejected(self):
         K = gen_cube(1)
@@ -273,7 +273,49 @@ class TestPosetOrder:
     def test_lower_set_of_top_cell_is_everything(self):
         K = gen_cube(2)
         (top,) = [i for i, d in enumerate(K.dims) if d == 2]
-        assert K.lower_set(top) == frozenset(range(len(K)))
+        assert K.lower_set(top) == tuple(range(len(K)))
+
+    def test_all_lower_sets_are_the_ascending_lower_sets(self, corpus):
+        from conftest import brute_force_interval_fvector
+
+        for name, K in corpus:
+            for L in (K, subdivide(K)):
+                lower = L.all_lower_sets()
+                assert lower == [L.lower_set(i) for i in range(len(L))], name
+                # a face's lower set is the face and its covers' lower sets, ascending
+                for i, below in enumerate(lower):
+                    assert below == tuple(sorted({i}.union(*map(lower.__getitem__, L.covered[i])))), name
+                counts = [0] * (L.dim + 1)
+                for b, below in enumerate(lower):
+                    for a in below:
+                        counts[L.dims[b] - L.dims[a]] += 1
+                assert tuple(counts) == brute_force_interval_fvector(L) == f_vector(subdivide(L)).entries, name
+
+    @pytest.mark.parametrize(
+        "table,want",
+        [
+            (([0, 1], [[1], []], ["a", "e"]), [(0, 1), (1,)]),
+            (([0, 0], [[1], [0]], ["a", "b"]), [(0, 1), (0, 1)]),
+        ],
+        ids=["upward-cover", "cycle"],
+    )
+    def test_all_lower_sets_falls_back_on_broken_covers(self, table, want):
+        K = CubicalComplex(*table)
+        assert K.all_lower_sets() == want == [K.lower_set(i) for i in range(len(K))]
+
+    def test_all_lower_sets_memory_per_face(self):
+        K = subdivide(gen_cube_boundary(6))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lower = K.all_lower_sets()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(lower) == len(K) == 14896
+        assert held / len(K) <= 400, held / len(K)
 
 
 class TestSerialization:
@@ -426,10 +468,15 @@ class TestSerialization:
             (([1, 0, 0], [[1, -1], [], []], "eba"), r"^covered ids must be ints in 0\.\.2$"),
             (([1, 0, 0], [[1, 3], [], []], "eba"), r"^covered ids must be ints in 0\.\.2$"),
             (([1, 0, 0], [[1, True], [], []], "eba"), r"^covered ids must be ints in 0\.\.2$"),
+            # a column or a cover that is not iterable at all
+            (([0], [5], ["a"]), "^face table columns and covers must be iterable: "),
+            (([0], [None], ["a"]), "^face table columns and covers must be iterable: "),
+            ((5, [[]], ["a"]), "^face table columns and covers must be iterable: "),
         ],
         ids=["empty", "lengths", "duplicate-keys", "bool-dim", "float-dim", "cover-minus-1",
              "cover-out-of-range", "bool-cover", "float-cover", "mixed-cover", "nested-cover",
-             "bytes-key", "unordered-cover-minus-1", "unordered-cover-n", "unordered-bool-cover"],
+             "bytes-key", "unordered-cover-minus-1", "unordered-cover-n", "unordered-bool-cover",
+             "int-cover", "none-cover", "int-dims"],
     )
     def test_constructor_rejects(self, table, message):
         with pytest.raises(ValueError, match=message):
@@ -452,7 +499,7 @@ class TestSerialization:
         ]
         K = CubicalComplex.from_json_obj({"dim": 1, "faces": faces})
         assert calls == [3]
-        assert (K.keys, K.covered) == (("a", "b", "e"), (set(), set(), {0, 1}))
+        assert (K.keys, K.covered) == (("a", "b", "e"), ((), (), (0, 1)))
 
     def test_complexes_are_immutable(self):
         K = gen_cube(1)
@@ -461,8 +508,8 @@ class TestSerialization:
 
 
 class TestCoverStorage:
-    """Each face's covers are stored as one sorted id tuple; `covered` is
-    a frozenset view of them, and every encoding reads the same ids."""
+    """Each face's covers are stored once, as the ascending id tuple
+    `covered` holds, and every encoding reads the same ids."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -471,7 +518,7 @@ class TestCoverStorage:
         covers = data.draw(st.lists(st.lists(st.integers(0, n - 1)), min_size=n, max_size=n))
         kinds = data.draw(st.lists(st.sampled_from([list, set, frozenset, tuple]), min_size=n, max_size=n))
         K = CubicalComplex([0] * n, [kind(c) for kind, c in zip(kinds, covers)], map(str, range(n)))
-        assert K.covered == tuple(frozenset(c) for c in covers)
+        assert K.covered == tuple(tuple(sorted(set(c))) for c in covers)
         obj = K.to_json_obj()
         assert [f["covered"] for f in obj["faces"]] == [sorted(set(c)) for c in covers]
         assert K.to_json() == json.dumps(obj, separators=(",", ":"))

@@ -95,14 +95,14 @@ def validate_oracle(K: CubicalComplex) -> ValidationReport:
             for bi in range(ai + 1, len(members)):
                 pairs.add((members[ai], members[bi]))
     for a, b in sorted(pairs):
-        common = lower[a] & lower[b]
+        common = frozenset(lower[a]) & frozenset(lower[b])
         if not common:
             continue
         # common is a down-set, so its maximal elements are those not
         # covered by another of its elements
         dominated = set()
         for f in common:
-            dominated |= K.covered[f] & common
+            dominated |= frozenset(K.covered[f]) & common
         maximal = common - dominated
         if len(maximal) > 1:
             v.append(
@@ -160,7 +160,7 @@ def validate_facet_local(K: CubicalComplex) -> ValidationReport:
         return ValidationReport(False, tuple(v))
 
     covered_somewhere = set().union(*K.covered)
-    lower: dict[int, frozenset[int]] = {}
+    lower: dict[int, tuple[int, ...]] = {}
     tops_at_vertex: dict[int, list[int]] = {}
     for top in range(n):
         if top in covered_somewhere:
@@ -178,12 +178,12 @@ def validate_facet_local(K: CubicalComplex) -> ValidationReport:
     for tops in tops_at_vertex.values():
         pairs.update(itertools.combinations(tops, 2))
     for a, b in sorted(pairs):
-        common = lower[a] & lower[b]
+        common = frozenset(lower[a]) & frozenset(lower[b])
         # common is a down-set, so its maximal elements are those not
         # covered by another of its elements
         dominated = set()
         for f in common:
-            dominated |= K.covered[f] & common
+            dominated |= frozenset(K.covered[f]) & common
         maximal = common - dominated
         if len(maximal) > 1:
             v.append(
@@ -195,7 +195,7 @@ def validate_facet_local(K: CubicalComplex) -> ValidationReport:
 
 
 def _cube_lattice_problem(
-    K: CubicalComplex, top: int, below: frozenset[int]
+    K: CubicalComplex, top: int, below: tuple[int, ...]
 ) -> str | None:
     """Why the lower set `below` of `top` is not a cube's face lattice.
 
