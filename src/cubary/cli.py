@@ -17,6 +17,9 @@ coeffs -d D when its output projects over 10^7 bytes, so coeffs takes
 D <= 221 (B) or D <= 220 (C). verify exits 3 before subdividing a stdin
 complex whose subdivision projects over the default face budget.
 
+A failed read of stdin or write of stdout, or a closed one, exits 1 like
+any other I/O failure, with one line on stderr.
+
 python -m cubary runs with the cyclic collector off, as nothing a command
 makes forms a reference cycle; main() called from Python keeps the
 caller's setting.
@@ -88,6 +91,8 @@ def _complex_from_stdin() -> CubicalComplex:
     """The complex on stdin: exit 1 if it does not parse, 2 if it is invalid."""
     from .complex_core import CubicalComplex, validate
 
+    if sys.stdin is None:
+        raise _Failure(EXIT_INPUT, "I/O error: stdin is closed")
     try:
         K = CubicalComplex.from_json(sys.stdin.read())
         report = validate(K)
@@ -424,6 +429,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if sys.stdout is None:
+            raise _Failure(EXIT_INPUT, "I/O error: stdout is closed")
         return args.fn(args)
     except SystemExit as exc:  # from argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
@@ -431,9 +438,7 @@ def main(argv=None) -> int:
         code, message = exc.code, str(exc)
     except RuntimeError as exc:  # c_matrix or hc_from_hsc disagreeing with a cross-check
         code, message = EXIT_CROSSCHECK, f"cross-check failure: {exc}"
+    except OSError as exc:  # reading stdin or writing stdout
+        code, message = EXIT_INPUT, f"I/O error: {exc}"
     print(f"cubary: error: {message}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

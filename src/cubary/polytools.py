@@ -1,19 +1,18 @@
-"""Exact rational polynomial arithmetic, Moebius-composed substitutions,
-real root counting and isolation, and vector shape predicates.
+"""Exact rational polynomials, Moebius-composed substitutions, real root
+counting and isolation, and vector shape predicates.
 
 Everything here is exact: coefficients are Python ints or
 ``fractions.Fraction`` and no floating point is used anywhere. One
 primitive integer Sturm sequence serves root counting and, divided
 exactly by its last member over the ints (``_quotient``), rational root
 isolation. One linear-factor step, ``_times`` or ``_divided``, expands
-the substitution's linear powers. ``RatPoly`` has no Fraction division.
+the substitution's linear powers. ``RatPoly`` multiplies and evaluates.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 from ._base import _Record
@@ -35,7 +34,8 @@ class RatPoly(_Record):
 
     Coefficients are stored constant-term first with no trailing zeros;
     the zero polynomial has an empty coefficient tuple and degree -1.
-    Instances are immutable and hashable; no division or derivative.
+    Immutable and hashable; offers ``degree``, ``is_zero``, ``padded``, ``*``
+    by a scalar or a polynomial, and evaluation: no ``+``, ``-`` or ``**``.
     """
 
     __slots__ = ("coeffs",)
@@ -47,10 +47,6 @@ class RatPoly(_Record):
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -58,32 +54,15 @@ class RatPoly(_Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Scalar:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def padded(self, n: int) -> tuple:
         """Coefficients c_0..c_{n-1}, zero-padded; fails if degree >= n."""
         if len(self.coeffs) > n:
             raise ValueError(f"degree {self.degree} does not fit in {n} slots")
         return self.coeffs + (0,) * (n - len(self.coeffs))
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        return RatPoly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _exact(other)  # a bool is refused, as in +
+            other = _exact(other)  # a bool is refused
             return RatPoly(c * other for c in self.coeffs)
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -96,20 +75,6 @@ class RatPoly(_Record):
         return RatPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if type(n) is not int:
-            raise TypeError(f"polynomial exponent must be an int, got {type(n).__name__}")
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = RatPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __call__(self, t: Scalar) -> Scalar:
         t, acc = _exact(t), 0
@@ -129,14 +94,6 @@ class RatPoly(_Record):
 
     def __repr__(self):
         return f"RatPoly({list(self.coeffs)!r})"
-
-
-def _as_poly(p) -> RatPoly:
-    if isinstance(p, RatPoly):
-        return p
-    if isinstance(p, (int, Fraction)):
-        return RatPoly((p,))
-    raise TypeError(f"cannot treat {type(p).__name__} as a polynomial")
 
 
 def mobius_transform(p: RatPoly, a: int, b: int, c: int, e: int, m: int) -> RatPoly:

@@ -3,7 +3,7 @@ cross-check, term-by-term alternating sums, Fraction matrix-vector
 product, Fraction-built B and C matrices, the Fraction long division
 and derivative that ``RatPoly`` once had, Fraction Euclid behind the
 gcd, square-free part and Sturm counts, the Moebius substitution by
-``RatPoly`` powers, the Fraction route from the Moebius substitution to
+polynomial powers, the Fraction route from the Moebius substitution to
 the iterates and the limit rows, and the double sums behind
 ``f_of_subdivision`` and ``f_from_hsc``, kept as test oracles.
 
@@ -31,15 +31,70 @@ the matrix builders, the substitution and the iterates), take
 O(d^3) additions (alternating sums) or big-int Horner steps
 (integer grid), or grow Fraction remainders to
 about degree^5 time (Euclid), so tests feed them small inputs only.
+
+The oracles do their polynomial arithmetic with the functions below,
+over coefficient tuples (constant term first, no trailing zeros), and
+take ``RatPoly`` only as the container they are given and return: they
+borrow none of the arithmetic they check, and ``RatPoly`` has no sum,
+difference, power or leading coefficient of its own.
 """
 
 import math
 from fractions import Fraction
-
+from itertools import zip_longest
 from typing import Sequence
 
 from cubary import CoeffMatrix, FVector, RatPoly, ShortHVector, b_matrix, hsc_from_hc
 from cubary.polytools import Scalar, _divided, _exact, _homogeneous
+
+X = (0, 1)
+
+
+def _trimmed(cs) -> tuple:
+    """cs as exact coefficients, integral Fractions as ints, trailing zeros cut."""
+    cs = [*map(_exact, cs)]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(*ps: Sequence[Scalar]) -> tuple:
+    return _trimmed(map(sum, zip_longest(*ps, fillvalue=0)))
+
+
+def poly_neg(p: Sequence[Scalar]) -> tuple:
+    return _trimmed(-c for c in p)
+
+
+def poly_sub(p: Sequence[Scalar], q: Sequence[Scalar]) -> tuple:
+    return poly_add(p, poly_neg(q))
+
+
+def poly_mul(*ps: Sequence[Scalar]) -> tuple:
+    """The product of ps; a scalar factor c is passed as (c,)."""
+    out = (1,)
+    for p in ps:
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = _trimmed(prod)
+    return out
+
+
+def poly_pow(p: Sequence[Scalar], n: int) -> tuple:
+    """p^n by n repeated products."""
+    return poly_mul(*[p] * n)
+
+
+def leading(p: Sequence[Scalar]) -> Scalar:
+    if not p:
+        raise ValueError("zero polynomial has no leading coefficient")
+    return p[-1]
+
+
+def _padded(p: Sequence[Scalar], n: int) -> tuple:
+    return (*p, *[0] * (n - len(p)))
 
 
 def rational_roots_oracle(p: RatPoly) -> list[Fraction]:
@@ -190,26 +245,27 @@ def b_matrix_oracle(d: int) -> CoeffMatrix:
     half = Fraction(1, 2 ** (d - 1))
     cols = []
     for j in range(d):
-        p = RatPoly((1, 3)) ** j * RatPoly((3, 1)) ** (d - 1 - j) * half
-        cols.append(p.padded(d))
+        p = poly_mul(poly_pow((1, 3), j), poly_pow((3, 1), d - 1 - j), (half,))
+        cols.append(_padded(p, d))
     return CoeffMatrix("B", d, _columns_to_rows(cols, d))
 
 
 def c_closed_forms_oracle(d: int) -> tuple:
     one_plus_x = RatPoly((1, 1))
-    x = RatPoly.x()
     cols = []
     # j = 0: (x (x+3)^(d-1) / 2^(d-1) + 1) / (1+x)
-    num = x * RatPoly((3, 1)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + 1
-    cols.append(exact_div_oracle(num, one_plus_x).padded(d + 1))
+    num = poly_add(poly_mul(X, poly_pow((3, 1), d - 1), (Fraction(1, 2 ** (d - 1)),)), (1,))
+    cols.append(exact_div_oracle(RatPoly(num), one_plus_x).padded(d + 1))
     # 1 <= j <= d-1: x (3x+1)^(j-1) (x+3)^(d-1-j) / 2^(d-3)
     scale = Fraction(2) ** (3 - d)
     for j in range(1, d):
-        p = x * RatPoly((1, 3)) ** (j - 1) * RatPoly((3, 1)) ** (d - 1 - j) * scale
-        cols.append(p.padded(d + 1))
+        p = poly_mul(X, poly_pow((1, 3), j - 1), poly_pow((3, 1), d - 1 - j), (scale,))
+        cols.append(_padded(p, d + 1))
     # j = d: (x (3x+1)^(d-1) / 2^(d-1) + x^(d+1)) / (1+x)
-    num = x * RatPoly((1, 3)) ** (d - 1) * Fraction(1, 2 ** (d - 1)) + x ** (d + 1)
-    cols.append(exact_div_oracle(num, one_plus_x).padded(d + 1))
+    num = poly_add(
+        poly_mul(X, poly_pow((1, 3), d - 1), (Fraction(1, 2 ** (d - 1)),)), poly_pow(X, d + 1)
+    )
+    cols.append(exact_div_oracle(RatPoly(num), one_plus_x).padded(d + 1))
     return _columns_to_rows(cols, d + 1)
 
 
@@ -219,7 +275,7 @@ def divmod_oracle(p: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly]:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p.coeffs)
     dd, dv = len(rem) - 1, q.degree
-    lead = Fraction(q.leading())
+    lead = Fraction(leading(q.coeffs))
     quot = [0] * max(dd - dv + 1, 0)
     for k in range(dd - dv, -1, -1):
         c = rem[dv + k]
@@ -250,7 +306,7 @@ def poly_gcd_oracle(p: RatPoly, q: RatPoly) -> RatPoly:
         a, b = b, divmod_oracle(a, b)[1]
     if a.is_zero():
         return a
-    return a * Fraction(1, Fraction(a.leading()))
+    return RatPoly(poly_mul(a.coeffs, (1 / Fraction(leading(a.coeffs)),)))
 
 
 def square_free_part_oracle(p: RatPoly) -> RatPoly:
@@ -269,7 +325,7 @@ def sturm_chain_oracle(p: RatPoly) -> list[RatPoly]:
         r = divmod_oracle(chain[-2], chain[-1])[1]
         if r.is_zero():
             break
-        chain.append(-r)
+        chain.append(RatPoly(poly_neg(r.coeffs)))
     if chain[-1].is_zero():
         chain.pop()
     return chain
@@ -293,8 +349,8 @@ def sturm_count_oracle(q: RatPoly) -> int:
     if q.degree == 0:
         return 0
     chain = sturm_chain_oracle(q)
-    at_neg = [_sign(f.leading()) * (-1) ** f.degree for f in chain]
-    at_pos = [_sign(f.leading()) for f in chain]
+    at_neg = [_sign(leading(f.coeffs)) * (-1) ** f.degree for f in chain]
+    at_pos = [_sign(leading(f.coeffs)) for f in chain]
     return _variations(at_neg) - _variations(at_pos)
 
 
@@ -330,14 +386,14 @@ def mobius_transform_oracle(p: RatPoly, a: int, b: int, c: int, e: int, m: int) 
     """
     if m < p.degree:
         raise ValueError(f"m={m} is smaller than deg(p)={p.degree}")
-    num = RatPoly((b, a))
-    den = RatPoly((e, c))
-    acc = RatPoly()
+    num = _trimmed((b, a))
+    den = _trimmed((e, c))
+    acc = ()
     for k, pk in enumerate(p.coeffs):
         if pk == 0:
             continue
-        acc = acc + pk * num**k * den ** (m - k)
-    return acc
+        acc = poly_add(acc, poly_mul((pk,), poly_pow(num, k), poly_pow(den, m - k)))
+    return RatPoly(acc)
 
 
 def f_of_subdivision_oracle(f: FVector) -> FVector:
@@ -390,7 +446,8 @@ def hsc_poly_of_iterate_oracle(h: ShortHVector, n: int) -> RatPoly:
         raise ValueError("n must be an int >= 0")
     d = h.d
     a, b = 2**n + 1, 2**n - 1
-    return mobius_transform_oracle(h.polynomial(), a, b, b, a, d - 1) * Fraction(1, 2 ** (d - 1))
+    p = mobius_transform_oracle(h.polynomial(), a, b, b, a, d - 1)
+    return RatPoly(poly_mul(p.coeffs, (Fraction(1, 2 ** (d - 1)),)))
 
 
 def hc_poly_of_iterate_oracle(hsc: ShortHVector, euler: int, n: int) -> RatPoly:
@@ -407,18 +464,17 @@ def limit_rows_oracle(hsc: ShortHVector, f_top: int, euler, ns):
     """
     d = hsc.d
     if euler is None:
-        limit, length = f_top * RatPoly((1, 1)) ** (d - 1), d
+        limit, length = poly_mul((f_top,), poly_pow((1, 1), d - 1)), d
     else:
-        limit, length = f_top * RatPoly.x() * RatPoly((1, 1)) ** (d - 2), d + 1
-    limit = limit.padded(length)
+        limit, length = poly_mul((f_top,), X, poly_pow((1, 1), d - 2)), d + 1
     for n in ns:
         p_n = (
             hsc_poly_of_iterate_oracle(hsc, n) if euler is None
             else hc_poly_of_iterate_oracle(hsc, euler, n)
         )
-        scaled = (p_n * Fraction(1, 2 ** (n * (d - 1)))).padded(length)
-        dist = max((abs(Fraction(a - b)) for a, b in zip(scaled, limit)), default=Fraction(0))
-        yield scaled, dist
+        scaled = poly_mul(p_n.coeffs, (Fraction(1, 2 ** (n * (d - 1))),))
+        dist = max((abs(Fraction(c)) for c in poly_sub(scaled, limit)), default=Fraction(0))
+        yield _padded(scaled, length), dist
 
 
 def limit_distance_hsc_oracle(h: ShortHVector, f_top: int, n: int) -> Fraction:

@@ -867,6 +867,70 @@ class TestHostileInput:
         assert proc.stderr.count("\n") == 1 and "invalid JSON" in proc.stderr
 
 
+CUBARY = [sys.executable, "-m", "cubary"]
+
+
+def _run(cmd, unbuffered: bool, **streams) -> subprocess.CompletedProcess:
+    """cmd with stderr captured and PYTHONUNBUFFERED set to 1 or unset."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(cmd, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **streams)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+class TestClosedStreams:
+    """A failed read or write of stdin or stdout, or a closed one, exits 1
+    with one stderr line: no traceback, no "Exception ignored" from the
+    interpreter's flush at exit, no exit 120, nothing dropped silently."""
+
+    BROKEN = "cubary: error: I/O error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--cube", "2"],  # stays buffered until the flush after main()
+            ["gen", "--cube", "6"],  # 51 kB: overflows the 8 kB buffer inside main()
+            ["mine", "--target", "realroot", "--dim", "2", "--trials", "300", "--seed", "1"],
+        ],
+        ids=["gen-small", "gen-large", "mine"],
+    )
+    def test_reader_gone_before_the_first_write(self, unbuffered, argv):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _run([*CUBARY, *argv], unbuffered, stdin=subprocess.DEVNULL, stdout=w)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (1, self.BROKEN)
+
+    def test_reader_closes_after_ten_bytes(self, unbuffered):
+        # gen --cube 8 | head -c 10: 569 kB, more than a pipe holds
+        cmd = f'"$@" | head -c 10 > /dev/null; exit "${{PIPESTATUS[0]}}"'
+        proc = _run(["bash", "-c", cmd, "bash", *CUBARY, "gen", "--cube", "8"], unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, self.BROKEN)
+
+    def test_full_device(self, unbuffered):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            proc = _run([*CUBARY, "gen", "--cube", "2"], unbuffered, stdout=full)
+        assert (proc.returncode, proc.stderr) == (
+            1, "cubary: error: I/O error: [Errno 28] No space left on device\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,redirect,stream",
+        [(["vectors"], "<&-", "stdin"), (["gen", "--cube", "2"], ">&-", "stdout")],
+        ids=["stdin", "stdout"],
+    )
+    def test_closed_descriptor(self, unbuffered, argv, redirect, stream):
+        # the shell closes the descriptor, so Python sets sys.<stream> to None
+        proc = _run(["sh", "-c", f'exec "$@" {redirect}', "sh", *CUBARY, *argv], unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, f"cubary: error: I/O error: {stream} is closed\n")
+
+
 class TestInternalFailurePaths:
     def test_coeffs_crosscheck_failure_exits_4(self, cli, monkeypatch):
         def boom(d):
